@@ -4,8 +4,9 @@
 lock at that instant, the child inherits the locked mutex with no owner
 to release it -- the first ``acquire`` in the child deadlocks forever.
 The rule therefore bans starting a child process (``os.fork``,
-``multiprocessing.Process(...).start()``, the project's fork-server
-contexts) in three situations:
+``multiprocessing.Process(...).start()``, a process pool --
+``multiprocessing.Pool(...)`` or ``ProcessPoolExecutor(...)``, whose
+workers fork) in three situations:
 
 1. directly inside a ``with <lock>`` block;
 2. after the same function has created a ``threading.Thread`` (the
@@ -33,8 +34,8 @@ __all__ = ["ForkSafetyChecker", "RULE"]
 RULE = RuleInfo(
     rule_id="REP-FORK",
     title="no fork under a held lock or after local thread creation",
-    invariant=("Process creation (os.fork, multiprocessing Process, the "
-               "worker-pool fork contexts) never happens inside a 'with "
+    invariant=("Process creation (os.fork, multiprocessing Process, "
+               "process pools) never happens inside a 'with "
                "<lock>' block or after the enclosing function has started "
                "a threading.Thread, directly or through any call chain "
                "the analyzer can resolve."),
@@ -59,9 +60,10 @@ worker.start()
            "locks (e.g. it execs or only reads a pipe)."),
 )
 
-#: Call targets that directly create a child process.
+#: Call targets that directly create a child process (a process pool
+#: forks its workers).
 _FORK_DOTTED = {"os.fork", "os.forkpty"}
-_FORK_TERMINAL = {"fork", "forkpty", "Process"}
+_FORK_TERMINAL = {"fork", "forkpty", "Process", "Pool", "ProcessPoolExecutor"}
 _MAX_CHAIN = 4
 
 
@@ -118,11 +120,7 @@ class _FunctionScan(ast.NodeVisitor):
         terminal = terminal_name(node.func)
         if terminal == "Thread":
             self.thread_line = node.lineno
-        is_fork = (dotted in _FORK_DOTTED
-                   or (terminal in _FORK_TERMINAL
-                       and terminal != "Process")
-                   or terminal == "Process")
-        if is_fork:
+        if dotted in _FORK_DOTTED or terminal in _FORK_TERMINAL:
             self.forks_directly = True
             self._flag_direct(node, dotted or terminal or "?")
         elif terminal:
@@ -215,6 +213,11 @@ class ForkSafetyChecker(Checker):
                 if caller_key in fork_roots or not reaches_fork(callee):
                     continue
                 fork_roots[caller_key] = f"calls {callee}(), which forks"
+                symbol = caller_key.split(":", 1)[1]
+                if symbol.endswith(".__init__"):
+                    # A constructor forking through a call still makes
+                    # its class name a forking callable.
+                    fork_classes.add(symbol.rsplit(".", 2)[-2])
                 grew = True
             if not grew:
                 break

@@ -503,6 +503,7 @@ def _print_recovery(name: str, recovery) -> None:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import faulthandler
     import os
     import signal
     import threading
@@ -510,6 +511,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import PlacementService, ServiceServer
     from .service.daemon import serve_stdio
 
+    # SIGUSR1 dumps every thread's stack to stderr and serving goes on:
+    # how an operator sees where a wedged daemon is stuck.
+    faulthandler.register(signal.SIGUSR1, all_threads=True)
     if args.shards < 1:
         print("--shards must be >= 1", file=sys.stderr)
         return 2

@@ -79,6 +79,9 @@ __all__ = ["Broker", "Ticket"]
 #: the portfolio race's grace window.
 _WORKER_GRACE = 0.5
 
+#: The ways a worker call ends without a payload (see repro.forkpipe).
+_WORKER_FAILURES = (WorkerCrash, TimeoutError, WorkerError)
+
 #: Committed request_ids remembered for idempotent retries.  Bounds the
 #: dedup table (and its journal-snapshot footprint); a client that
 #: retries more than this many commits late is indistinguishable from a
@@ -685,7 +688,7 @@ class Broker:
                 )
             try:
                 stats = session.stats(timeout=5.0)
-            except (WorkerCrash, WorkerError, TimeoutError) as exc:
+            except _WORKER_FAILURES as exc:
                 deployment.drop_session()
                 self._c_session_rebuilds.inc()
                 return Response(
@@ -829,16 +832,8 @@ class Broker:
                 solve_task, request, remaining,
                 timeout=self._pool_timeout(remaining),
             )
-        except WorkerCrash as exc:
-            self._c_crashes.inc()
-            return Response(status=ResponseStatus.WORKER_CRASHED,
-                            kind=request.kind, error=str(exc))
-        except TimeoutError as exc:
-            return Response(status=ResponseStatus.DEADLINE_EXCEEDED,
-                            kind=request.kind, error=str(exc))
-        except WorkerError as exc:
-            return Response(status=ResponseStatus.ERROR,
-                            kind=request.kind, error=str(exc))
+        except _WORKER_FAILURES as exc:
+            return self._worker_failure(request, exc)
 
         status = (ResponseStatus.OK if payload["feasible"]
                   else ResponseStatus.INFEASIBLE)
@@ -956,24 +951,8 @@ class Broker:
                         delta_task, deployer, request, remaining,
                         timeout=self._pool_timeout(remaining),
                     )
-                except WorkerCrash as exc:
-                    self._c_crashes.inc()
-                    return Response(status=ResponseStatus.WORKER_CRASHED,
-                                    kind=request.kind, error=str(exc))
-                except TimeoutError as exc:
-                    return Response(
-                        status=ResponseStatus.DEADLINE_EXCEEDED,
-                        kind=request.kind, error=str(exc))
-                except WorkerError as exc:
-                    # A preview that raised ValueError (unknown
-                    # ingress, duplicate policy) is the client's
-                    # mistake, not ours.
-                    message = str(exc)
-                    status = (ResponseStatus.BAD_REQUEST
-                              if "ValueError:" in message
-                              else ResponseStatus.ERROR)
-                    return Response(status=status, kind=request.kind,
-                                    error=message)
+                except _WORKER_FAILURES as exc:
+                    return self._worker_failure(request, exc)
 
             if not payload["feasible"]:
                 return Response(
@@ -1055,24 +1034,15 @@ class Broker:
                     timeout=self._pool_timeout(remaining))
                 self._c_session_deltas.inc()
                 return payload, None
-            except (WorkerCrash, TimeoutError, WorkerError):
+            except _WORKER_FAILURES:
                 self._rebuild_session(deployment)
                 return None, None
-        except TimeoutError as exc:
-            # The worker was terminated mid-solve; its state is gone.
-            self._rebuild_session(deployment)
-            return None, Response(
-                status=ResponseStatus.DEADLINE_EXCEEDED,
-                kind=request.kind, error=str(exc))
-        except WorkerError as exc:
-            # The child caught the exception and keeps serving; the
-            # session survives.  Same status mapping as the pool path.
-            message = str(exc)
-            status = (ResponseStatus.BAD_REQUEST
-                      if "ValueError:" in message
-                      else ResponseStatus.ERROR)
-            return None, Response(status=status, kind=request.kind,
-                                  error=message)
+        except (TimeoutError, WorkerError) as exc:
+            # A timeout killed the child mid-solve, taking its state;
+            # after a WorkerError the child keeps serving.
+            if isinstance(exc, TimeoutError):
+                self._rebuild_session(deployment)
+            return None, self._worker_failure(request, exc)
 
     def _mirror(self, deployment: _Deployment, call) -> None:
         """Forward a state change into the session worker's snapshot."""
@@ -1081,7 +1051,7 @@ class Broker:
             return
         try:
             call(session)
-        except (WorkerCrash, WorkerError, TimeoutError):
+        except _WORKER_FAILURES:
             self._rebuild_session(deployment)
 
     def _run_verify(self, request: VerifyRequest,
@@ -1091,18 +1061,29 @@ class Broker:
                 verify_task, request.instance, request.placement,
                 timeout=self._pool_timeout(remaining),
             )
-        except WorkerCrash as exc:
-            self._c_crashes.inc()
-            return Response(status=ResponseStatus.WORKER_CRASHED,
-                            kind=request.kind, error=str(exc))
-        except TimeoutError as exc:
-            return Response(status=ResponseStatus.DEADLINE_EXCEEDED,
-                            kind=request.kind, error=str(exc))
-        except WorkerError as exc:
-            return Response(status=ResponseStatus.ERROR,
-                            kind=request.kind, error=str(exc))
+        except _WORKER_FAILURES as exc:
+            return self._worker_failure(request, exc)
         return Response(status=ResponseStatus.OK, kind=request.kind,
                         served="solved", result=payload)
+
+    def _worker_failure(self, request, exc: Exception) -> Response:
+        """The answer for a worker call that ended without a payload.
+
+        A crash is counted.  A delta preview's ValueError (unknown
+        ingress, duplicate policy) is the client's mistake.
+        """
+        message = str(exc)
+        if isinstance(exc, WorkerCrash):
+            self._c_crashes.inc()
+            status = ResponseStatus.WORKER_CRASHED
+        elif isinstance(exc, TimeoutError):
+            status = ResponseStatus.DEADLINE_EXCEEDED
+        elif (isinstance(request, DeltaRequest)
+              and "ValueError:" in message):
+            status = ResponseStatus.BAD_REQUEST
+        else:
+            status = ResponseStatus.ERROR
+        return Response(status=status, kind=request.kind, error=message)
 
     # ------------------------------------------------------------------
     # Completion plumbing

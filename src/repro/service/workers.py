@@ -3,15 +3,16 @@
 A long-running service cannot let one bad request take the process
 down: a solver segfault, an OOM kill, or a pathological instance must
 fail *that request* and nothing else.  :class:`WorkerPool` gives every
-admitted request its own forked worker process (the same fork-based
-isolation the portfolio race and component pool use) and turns the
-three ways a worker can end into three distinct outcomes:
+admitted request its own forked child (:mod:`repro.forkpipe`, the one
+fork primitive the portfolio race and component solver share), whose
+endings map to distinct outcomes:
 
 * normal return        -- the task's JSON-able payload;
 * Python exception     -- :class:`WorkerError` carrying the traceback
   (an *error* answer, the daemon keeps running);
 * hard death           -- exit without posting (``os._exit``, signal,
-  OOM): :class:`WorkerCrash`, again scoped to the one request.
+  OOM): :class:`WorkerCrash`, again scoped to the one request;
+* a passed deadline    -- :class:`TimeoutError`, the child killed.
 
 ``executor="inline"`` runs tasks in-process for determinism (tests,
 platforms without ``fork``); inline tasks still map exceptions to
@@ -31,7 +32,6 @@ deployment only after the worker has succeeded.
 from __future__ import annotations
 
 import threading
-import time
 import traceback
 from typing import Any, Callable, Dict, List, Optional
 
@@ -41,6 +41,13 @@ from ..core.instance import PlacementInstance
 from ..core.objectives import Combined, TotalRules, UpstreamDrops
 from ..core.placement import PlacerConfig, RulePlacer
 from ..core.verify import verify_placement
+from ..forkpipe import (CAN_FORK, Child, WorkerCrash, WorkerError, reply,
+                        run_child)
+# Imported now, before the daemon starts a thread, rather than on the
+# first request: it loads every solve module a request reaches, and a
+# child forked while another thread is part-way through a module's
+# first import waits forever on that module's import lock.
+from ..solve.session import SolverSession
 from .protocol import DeltaRequest, SolveRequest
 
 __all__ = [
@@ -53,14 +60,6 @@ __all__ = [
     "solve_task",
     "verify_task",
 ]
-
-
-class WorkerError(RuntimeError):
-    """The task raised: carries the worker-side traceback text."""
-
-
-class WorkerCrash(RuntimeError):
-    """The worker died without answering (hard crash or kill)."""
 
 
 class WorkerPool:
@@ -79,16 +78,8 @@ class WorkerPool:
             raise ValueError(f"unknown executor {executor!r}")
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if executor == "process":
-            import multiprocessing
-
-            try:
-                self._ctx = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX fallback
-                executor = "inline"
-                self._ctx = None
-        else:
-            self._ctx = None
+        if not CAN_FORK:  # pragma: no cover - non-POSIX fallback
+            executor = "inline"
         self.executor = executor
         self.max_workers = max_workers
         self._slots = threading.Semaphore(max_workers)
@@ -109,90 +100,23 @@ class WorkerPool:
         Raises :class:`WorkerError` on a task exception,
         :class:`WorkerCrash` on worker death, and
         :class:`TimeoutError` when ``timeout`` elapses first (the
-        straggler is terminated -- a hung solver must not pin a slot
+        straggler is killed -- a hung solver must not pin a slot
         forever).
         """
         self._slots.acquire()
         with self._live_lock:
             self._live += 1
         try:
-            if self.executor == "inline":
-                return self._run_inline(task, args)
-            return self._run_process(task, args, timeout)
+            if self.executor == "process":
+                return run_child(task, *args, timeout=timeout)
+            try:
+                return task(*args)
+            except Exception:
+                raise WorkerError(traceback.format_exc(limit=6)) from None
         finally:
             with self._live_lock:
                 self._live -= 1
             self._slots.release()
-
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _run_inline(task, args) -> Dict[str, Any]:
-        try:
-            return task(*args)
-        except Exception:
-            raise WorkerError(traceback.format_exc(limit=6)) from None
-
-    def _run_process(self, task, args, timeout) -> Dict[str, Any]:
-        recv, send = self._ctx.Pipe(duplex=False)
-        # Non-daemonic on purpose: solve tasks fork their own engine
-        # races / component pools, which daemonic processes may not.
-        proc = self._ctx.Process(
-            target=_worker_main, args=(send, task, args), daemon=False
-        )
-        proc.start()
-        send.close()  # the child's end; keep only the read side here
-        deadline = None if timeout is None else time.monotonic() + timeout
-        try:
-            while True:
-                wait = 0.05
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise TimeoutError(
-                            f"worker exceeded {timeout:.3f}s; terminated"
-                        )
-                    wait = min(wait, remaining)
-                if recv.poll(wait):
-                    try:
-                        kind, payload = recv.recv()
-                    except EOFError:
-                        raise WorkerCrash(
-                            "worker closed its pipe without answering"
-                        ) from None
-                    if kind == "done":
-                        return payload
-                    raise WorkerError(str(payload))
-                if not proc.is_alive():
-                    # Dead without posting: a hard crash.  Drain the
-                    # pipe once more in case the message raced the exit.
-                    if recv.poll(0):
-                        continue
-                    raise WorkerCrash(
-                        f"worker died with exit code {proc.exitcode}"
-                    )
-        finally:
-            if proc.is_alive():
-                proc.terminate()
-            proc.join(timeout=1.0)
-            if proc.is_alive():  # pragma: no cover - stubborn child
-                proc.kill()
-                proc.join(timeout=1.0)
-            recv.close()
-
-
-def _worker_main(conn, task, args) -> None:
-    """Child entry point: run the task, post exactly one message."""
-    try:
-        payload = task(*args)
-        conn.send(("done", payload))
-    except BaseException:
-        try:
-            conn.send(("error", traceback.format_exc(limit=6)))
-        except Exception:  # pragma: no cover - pipe gone
-            pass
-    finally:
-        conn.close()
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +251,9 @@ def _paths_from(specs: List[Dict[str, Any]]):
 # Warm-session worker
 # ---------------------------------------------------------------------------
 
+#: How long a closing session child gets to acknowledge its shutdown.
+_SHUTDOWN_TIMEOUT = 1.0
+
 
 class SessionWorker:
     """A long-lived worker pinned to one deployment's warm solver session.
@@ -361,33 +288,17 @@ class SessionWorker:
                  executor: str = "process") -> None:
         if executor not in ("process", "inline"):
             raise ValueError(f"unknown executor {executor!r}")
+        if not CAN_FORK:  # pragma: no cover - non-POSIX fallback
+            executor = "inline"
         self.backend = backend
+        self.executor = executor
         self._lock = threading.Lock()
         self._dead = False
-        self._ctx = None
-        self._proc = None
-        self._conn = None
+        self._child: Optional[Child] = None
         self._deployer: Optional[IncrementalDeployer] = None
         if executor == "process":
-            import multiprocessing
-
-            try:
-                self._ctx = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX fallback
-                executor = "inline"
-        self.executor = executor
-        if self.executor == "process":
-            parent, child = self._ctx.Pipe(duplex=True)
-            self._proc = self._ctx.Process(
-                target=_session_child_main,
-                args=(child, deployer, backend), daemon=False,
-            )
-            self._proc.start()
-            child.close()
-            self._conn = parent
+            self._child = Child(_session_child_main, deployer, backend)
         else:
-            from ..solve.session import SolverSession
-
             self._deployer = deployer
             self._session = SolverSession(backend=backend)
             deployer.attach_session(self._session)
@@ -398,17 +309,13 @@ class SessionWorker:
     def alive(self) -> bool:
         if self._dead:
             return False
-        if self.executor == "inline":
-            return True
-        return self._proc.is_alive()
+        return self._child is None or self._child.alive
 
     @property
     def pid(self) -> Optional[int]:
         """The child's OS pid (``None`` inline) -- the supervisor's
         health report and the chaos harness's kill target."""
-        if self.executor == "inline" or self._proc is None:
-            return None
-        return self._proc.pid
+        return None if self._child is None else self._child.pid
 
     def preview(self, request: DeltaRequest,
                 time_limit: Optional[float] = None,
@@ -446,24 +353,15 @@ class SessionWorker:
                 self._deployer.detach_session()
             self._dead = True
             return
-        with self._lock:
-            if not self._dead:
-                try:
-                    self._conn.send(("shutdown",))
-                except (BrokenPipeError, OSError):
-                    pass
-            self._dead = True
-        self._proc.join(timeout=1.0)
-        if self._proc.is_alive():
-            self._proc.terminate()
-            self._proc.join(timeout=1.0)
-        if self._proc.is_alive():  # pragma: no cover - stubborn child
-            self._proc.kill()
-            self._proc.join(timeout=1.0)
         try:
-            self._conn.close()
-        except OSError:  # pragma: no cover - already closed
+            # An acknowledged shutdown leaves a child exiting on its
+            # own; without the ack, Child.close kills a straggler.
+            self._call(("shutdown",), _SHUTDOWN_TIMEOUT)
+        except (WorkerCrash, WorkerError, TimeoutError):
             pass
+        with self._lock:
+            self._dead = True
+            self._child.close()
 
     # ------------------------------------------------------------------
 
@@ -471,49 +369,17 @@ class SessionWorker:
         if self.executor == "inline":
             return self._call_inline(message)
         with self._lock:
-            if self._dead or not self._proc.is_alive():
+            if self._dead or not self._child.alive:
                 self._dead = True
                 raise WorkerCrash("session worker is gone")
             try:
-                self._conn.send(message)
-            except (BrokenPipeError, OSError):
+                self._child.send(message)
+                return self._child.receive(timeout)
+            except (WorkerCrash, TimeoutError):
+                # Dead or killed: a hung persistent worker must not pin
+                # the deployment forever; the broker rebuilds it cold.
                 self._dead = True
-                raise WorkerCrash(
-                    "session worker pipe is closed") from None
-            deadline = (None if timeout is None
-                        else time.monotonic() + timeout)
-            while True:
-                wait = 0.05
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        # A hung persistent worker must not pin the
-                        # deployment forever: kill it; the broker
-                        # rebuilds the session cold.
-                        self._dead = True
-                        self._proc.terminate()
-                        raise TimeoutError(
-                            f"session worker exceeded {timeout:.3f}s; "
-                            f"terminated")
-                    wait = min(wait, remaining)
-                if self._conn.poll(wait):
-                    try:
-                        kind, payload = self._conn.recv()
-                    except EOFError:
-                        self._dead = True
-                        raise WorkerCrash(
-                            "session worker closed its pipe without "
-                            "answering") from None
-                    if kind == "done":
-                        return payload
-                    raise WorkerError(str(payload))
-                if not self._proc.is_alive():
-                    if self._conn.poll(0):
-                        continue
-                    self._dead = True
-                    raise WorkerCrash(
-                        f"session worker died with exit code "
-                        f"{self._proc.exitcode}")
+                raise
 
     def _call_inline(self, message) -> Dict[str, Any]:
         try:
@@ -546,29 +412,14 @@ def _session_serve(deployer: IncrementalDeployer, session,
 def _session_child_main(conn, deployer: IncrementalDeployer,
                         backend: str) -> None:
     """Child entry point: hold the warm session, answer until shutdown."""
-    from ..solve.session import SolverSession
-
     session = SolverSession(backend=backend)
     deployer.attach_session(session)
-    try:
-        while True:
-            try:
-                message = conn.recv()
-            except EOFError:
-                return
-            if message[0] == "shutdown":
-                try:
-                    conn.send(("done", {}))
-                except (BrokenPipeError, OSError):
-                    pass
-                return
-            try:
-                payload = _session_serve(deployer, session, message)
-                conn.send(("done", payload))
-            except Exception:
-                try:
-                    conn.send(("error", traceback.format_exc(limit=6)))
-                except Exception:  # pragma: no cover - pipe gone
-                    return
-    finally:
-        conn.close()
+    while True:
+        try:
+            message = conn.recv()
+        except EOFError:
+            return
+        if message[0] == "shutdown":
+            reply(conn, dict)
+            return
+        reply(conn, _session_serve, deployer, session, message)

@@ -7,7 +7,7 @@ rows stay inside one policy, capacity rows couple exactly the rules
 whose placement domains (``SliceInfo.domains``) contain the same
 switch.  Policies whose domains share no switch therefore live in
 disjoint sub-models, and the decomposition literature on network
-function placement (Kulkarni et al., arXiv:1706.06496) shows such
+function placement (Lukovszki/Rost/Schmid, arXiv:1706.06496) shows such
 instances split naturally along exactly this seam.
 
 ``split_components`` finds the connected components with a union-find
@@ -18,11 +18,11 @@ the *full* capacity of every switch it owns, and stitching the
 sub-solutions back together is exact: the summed objective equals the
 monolithic optimum (the differential suite in
 ``tests/solve/test_components.py`` holds it to that).  Components run
-concurrently on a forked worker pool (the same fork-based isolation the
-portfolio race uses); the caller falls back to the monolithic model
-when there is a single component, an unsupported configuration, or --
-as a safety net that should be unreachable -- stitching would violate a
-capacity.
+concurrently, at most ``workers`` forked children at a time
+(:mod:`repro.forkpipe`, the fork primitive the portfolio race shares);
+the caller falls back to the monolithic model when there is a single
+component, an unsupported configuration, or -- as a safety net that
+should be unreachable -- stitching would violate a capacity.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from ..core.objectives import (
 )
 from ..core.placement import Placement, PlacerConfig
 from ..core.slicing import SliceInfo
+from ..forkpipe import CAN_FORK, Child, reply, wait_any
 from ..milp.model import SolveStatus
 from ..policy.policy import PolicySet
 
@@ -153,7 +154,7 @@ def build_subinstance(instance: PlacementInstance,
 def _solve_component(payload) -> Dict[str, object]:
     """Worker entry point: solve one sub-instance monolithically.
 
-    Runs in a forked pool process (or inline for the serial path);
+    Runs in a forked child (or inline for the serial path);
     returns a small picklable result dict, mirroring the portfolio's
     engine payloads.
     """
@@ -189,25 +190,31 @@ def _solve_component(payload) -> Dict[str, object]:
     }
 
 
-def _run_serial(payloads) -> List[Dict[str, object]]:
-    return [_solve_component(p) for p in payloads]
+def _run_parallel(payloads, workers: int) -> List[Dict[str, object]]:
+    """Solve the components in forked children, at most ``workers`` at once.
 
-
-def _run_parallel(payloads, workers: int) -> Optional[List[Dict[str, object]]]:
-    """Fan the component solves over a forked process pool.
-
-    Returns ``None`` when fork is unavailable (caller degrades to the
-    serial path).  Fork shares the parent's warm depgraph cache
-    copy-on-write, so workers skip the dependency analysis entirely.
+    Fork shares the parent's warm depgraph cache copy-on-write, so
+    children skip the dependency analysis entirely.  A child that
+    raises or dies raises here.
     """
-    import multiprocessing
-
+    results: list = [None] * len(payloads)
+    queued = list(enumerate(payloads))
+    running: Dict[Child, int] = {}
     try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX
-        return None
-    with ctx.Pool(processes=workers) as pool:
-        return pool.map(_solve_component, payloads)
+        while queued or running:
+            while queued and len(running) < workers:
+                index, payload = queued.pop(0)
+                running[Child(reply, _solve_component, payload)] = index
+            for child in wait_any(list(running)):
+                index = running.pop(child)
+                try:
+                    results[index] = child.receive(0)
+                finally:
+                    child.close()
+    finally:
+        for child in running:
+            child.close()
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -254,20 +261,19 @@ def place_components(
     if workers is None:
         workers = min(len(payloads), os.cpu_count() or 1)
     started = time.perf_counter()
-    results: Optional[List[Dict[str, object]]] = None
     mode = "serial"
-    if not is_portfolio and workers > 1 and len(payloads) > 1:
-        # The portfolio backend forks its own engine race per solve and
-        # pool workers are daemonic (no grandchildren), so portfolio
-        # components run sequentially -- each race is already parallel.
+    if CAN_FORK and not is_portfolio and workers > 1 and len(payloads) > 1:
+        # Each portfolio solve already forks one child per engine, so
+        # portfolio components run one at a time: the race is the
+        # parallelism, and a child per component on top would only
+        # oversubscribe the cores.
         try:
             results = _run_parallel(payloads, workers)
             mode = "parallel"
-        except Exception:
-            results = None
-    if results is None:
-        results = _run_serial(payloads)
-        mode = "serial"
+        except Exception:  # a child raised or died: solve serially
+            pass
+    if mode == "serial":
+        results = [_solve_component(p) for p in payloads]
     wall = time.perf_counter() - started
 
     statuses = [SolveStatus(r["status"]) for r in results]

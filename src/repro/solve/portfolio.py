@@ -8,7 +8,7 @@ the CDCL/pseudo-Boolean optimizer (:class:`~repro.core.satopt.SatOptimizer`).
 :class:`PortfolioSolver` runs all of them on the same instance
 concurrently (one forked process per engine -- they are CPU-bound),
 returns the first *conclusive* answer (proven OPTIMAL or proven
-INFEASIBLE), and terminates the losers.
+INFEASIBLE), and kills the losers.
 
 Degradation is graceful by construction:
 
@@ -35,15 +35,15 @@ counters, crash and timeout outcomes) that
 
 from __future__ import annotations
 
-import queue as queue_mod
 import time
-import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.ilp import IlpEncoding, build_encoding
 from ..core.instance import PlacementInstance, RuleKey
 from ..core.objectives import TotalRules, apply_objective
+from ..forkpipe import (CAN_FORK, Child, WorkerCrash, WorkerError, reply,
+                        wait_any)
 from ..milp.bnb import BranchAndBoundBackend
 from ..milp.model import SolveResult, SolveStatus
 from ..milp.scipy_backend import ScipyMilpBackend
@@ -113,6 +113,14 @@ class EngineReport:
     objective: Optional[float] = None
     stats: Dict[str, float] = field(default_factory=dict)
     error: Optional[str] = None
+
+    @classmethod
+    def answered(cls, name: str, payload: Dict[str, object],
+                 wall: float) -> "EngineReport":
+        """The report of an engine that answered ``payload``."""
+        return cls(name, _outcome_of(SolveStatus(payload["status"])), wall,
+                   objective=payload.get("objective"),
+                   stats=dict(payload.get("stats", {})))
 
     def to_dict(self) -> Dict[str, object]:
         record: Dict[str, object] = {
@@ -248,17 +256,11 @@ def resolve_backend(name: str):
     raise ValueError(f"unknown backend {name!r}")
 
 
-def _worker(out_queue, spec: EngineSpec, task: EngineTask) -> None:
-    """Process entry point: run one engine, post exactly one message."""
+def _run_engine(spec: EngineSpec, task: EngineTask):
+    """Child entry point: one engine's payload and its wall time."""
     started = time.perf_counter()
-    try:
-        payload = spec.run(task)
-        out_queue.put(("done", spec.name, payload, time.perf_counter() - started))
-    except BaseException:
-        out_queue.put((
-            "crashed", spec.name, traceback.format_exc(limit=4),
-            time.perf_counter() - started,
-        ))
+    payload = spec.run(task)
+    return payload, time.perf_counter() - started
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +277,7 @@ class PortfolioSolver:
     run:
 
     * ``"process"`` (default): one forked process per engine, true
-      concurrency, losers are terminated.  Falls back to inline where
+      concurrency, losers are killed.  Falls back to inline where
       ``fork`` is unavailable.
     * ``"inline"``: engines run sequentially in-process in listed order
       until a conclusive answer; fully deterministic under an injected
@@ -285,7 +287,7 @@ class PortfolioSolver:
     additionally receives it as its own ``time_limit`` so it can report
     an incumbent instead of being killed mid-search.  ``grace_seconds``
     is how long past the deadline the parent waits for those incumbent
-    reports before terminating stragglers.
+    reports before killing stragglers.
     """
 
     def __init__(
@@ -390,31 +392,16 @@ class PortfolioSolver:
         )
 
     def _race_process(self, specs, instance, encoding, enable_merging):
-        """True concurrency: one forked process per engine.
+        """True concurrency: one forked child per engine.
 
-        Workers post exactly one ``("done"|"crashed", name, payload,
-        wall)`` message; a process that dies without posting (segfault,
-        OOM kill) is detected through its exit code.  Fork keeps the
-        parent-built encoding shared copy-on-write, so only the small
-        result payload ever crosses the process boundary.
+        Each child answers once through :mod:`repro.forkpipe`; one that
+        raises or dies without answering (segfault, OOM kill) is a
+        crashed engine.  Fork keeps the parent-built encoding shared
+        copy-on-write, so only the small result payload ever crosses
+        the process boundary.
         """
-        import multiprocessing
-
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
+        if not CAN_FORK:  # pragma: no cover - non-POSIX fallback
             return self._race_inline(specs, instance, encoding, enable_merging)
-
-        out_queue = ctx.Queue()
-        pending: Dict[str, object] = {}
-        for spec in specs:
-            task = self._task_for(spec, instance, encoding, enable_merging)
-            proc = ctx.Process(
-                target=_worker, args=(out_queue, spec, task), daemon=True
-            )
-            proc.start()
-            pending[spec.name] = proc
-
         started = self.clock()
         hard_stop = (
             None if self.deadline is None
@@ -423,72 +410,39 @@ class PortfolioSolver:
         order: List[str] = []
         results: Dict[str, Dict[str, object]] = {}
         reports: Dict[str, EngineReport] = {}
+        pending: Dict[Child, str] = {}
         winner_found = False
-        deadline_hit = False
-
-        def _handle(kind, name, payload, wall) -> bool:
-            """Record one worker message; True if it settles the race."""
-            order.append(name)
-            if kind == "crashed":
-                reports[name] = EngineReport(
-                    name, "crashed", wall, error=str(payload)
-                )
-                return False
-            status = SolveStatus(payload["status"])
-            results[name] = payload
-            reports[name] = EngineReport(
-                name, _outcome_of(status), wall,
-                objective=payload.get("objective"),
-                stats=dict(payload.get("stats", {})),
-            )
-            return status in _CONCLUSIVE
-
-        # Everything below may raise (a hostile worker can post an
-        # arbitrary payload); the finally block guarantees the forked
-        # engines are terminated and reaped and the queue's feeder
-        # thread shut down no matter how we leave.
+        # Everything below may raise (a hostile engine can answer an
+        # arbitrary payload); the finally block kills and reaps every
+        # engine still racing no matter how we leave.
         try:
-            while pending:
-                now = self.clock()
-                if hard_stop is not None and now >= hard_stop:
+            for spec in specs:
+                task = self._task_for(spec, instance, encoding, enable_merging)
+                pending[Child(reply, _run_engine, spec, task)] = spec.name
+            while pending and not winner_found:
+                # Past the hard stop, one last look collects incumbents
+                # the engines posted at their own time limit.
+                remaining = (None if hard_stop is None
+                             else max(hard_stop - self.clock(), 0.0))
+                ready = wait_any(list(pending), remaining)
+                if not ready:
                     break
-                remaining = None if hard_stop is None else hard_stop - now
-                timeout = 0.1 if remaining is None else min(0.1, max(remaining, 0.01))
-                try:
-                    kind, name, payload, wall = out_queue.get(timeout=timeout)
-                except queue_mod.Empty:
-                    # Reap processes that died without posting a message.
-                    for name, proc in list(pending.items()):
-                        code = proc.exitcode
-                        if code is not None and code != 0:
-                            pending.pop(name)
-                            order.append(name)
-                            reports[name] = EngineReport(
-                                name, "crashed",
-                                self.clock() - started,
-                                error=f"process died with exit code {code}",
-                            )
-                    continue
-                proc = pending.pop(name, None)
-                if proc is not None:
-                    proc.join(timeout=1.0)
-                if _handle(kind, name, payload, wall):
-                    winner_found = True
-                    break
-
-            # Deadline path: engines may have posted their TIME_LIMIT
-            # incumbents moments ago -- drain without blocking before
-            # terminating stragglers.
-            if not winner_found:
-                while True:
+                for child in ready:
+                    name = pending.pop(child)
+                    order.append(name)
                     try:
-                        kind, name, payload, wall = out_queue.get_nowait()
-                    except queue_mod.Empty:
-                        break
-                    proc = pending.pop(name, None)
-                    if proc is not None:
-                        proc.join(timeout=1.0)
-                    if _handle(kind, name, payload, wall):
+                        payload, wall = child.receive(0)
+                    except (WorkerError, WorkerCrash) as exc:
+                        reports[name] = EngineReport(
+                            name, "crashed", self.clock() - started,
+                            error=str(exc),
+                        )
+                        continue
+                    finally:
+                        child.close()
+                    reports[name] = EngineReport.answered(name, payload, wall)
+                    results[name] = payload
+                    if SolveStatus(payload["status"]) in _CONCLUSIVE:
                         winner_found = True
                         break
 
@@ -497,31 +451,15 @@ class PortfolioSolver:
                 and self.clock() - started >= self.deadline
                 and not winner_found
             )
-            for name, proc in pending.items():
-                code = proc.exitcode
-                if code is not None and code != 0:
-                    # Died uncancelled before we got around to reaping it.
-                    reports[name] = EngineReport(
-                        name, "crashed", self.clock() - started,
-                        error=f"process died with exit code {code}",
-                    )
-                    continue
+            for name in pending.values():
                 reports[name] = EngineReport(
                     name, "cancelled" if winner_found else "timeout",
                     self.clock() - started,
                     error=None if winner_found else "killed at deadline",
                 )
         finally:
-            for proc in pending.values():
-                if proc.is_alive():
-                    proc.terminate()
-            for proc in pending.values():
-                proc.join(timeout=1.0)
-                if proc.is_alive():  # pragma: no cover - stubborn child
-                    proc.kill()
-                    proc.join(timeout=1.0)
-            out_queue.cancel_join_thread()
-            out_queue.close()
+            for child in pending:
+                child.close()
         report_list = [reports[s.name] for s in specs if s.name in reports]
         return order, results, report_list, deadline_hit
 
@@ -557,14 +495,9 @@ class PortfolioSolver:
                 continue
             wall = self.clock() - engine_start
             order.append(spec.name)
-            status = SolveStatus(payload["status"])
+            reports.append(EngineReport.answered(spec.name, payload, wall))
             results[spec.name] = payload
-            reports.append(EngineReport(
-                spec.name, _outcome_of(status), wall,
-                objective=payload.get("objective"),
-                stats=dict(payload.get("stats", {})),
-            ))
-            if status in _CONCLUSIVE:
+            if SolveStatus(payload["status"]) in _CONCLUSIVE:
                 winner_found = True
         deadline_hit = (
             self.deadline is not None

@@ -96,8 +96,98 @@ class Broker:
         result = lint(root, rules=RULES)
         assert any(f.symbol == "Broker.attach" for f in result.active)
 
+    def test_constructor_forking_through_a_helper_under_lock(
+            self, make_project, lint):
+        # Worker.__init__ forks only through spawn(); the class name
+        # is still a forking callable.
+        root = make_project({"svc/session.py": '''
+import threading
+import multiprocessing
+
+
+def spawn(target):
+    proc = multiprocessing.Process(target=target)
+    proc.start()
+    return proc
+
+
+class Worker:
+    def __init__(self):
+        self.proc = spawn(print)
+
+
+class Broker:
+    def __init__(self):
+        self._lock = threading.Lock()
+
+    def attach(self):
+        with self._lock:
+            return Worker()
+'''})
+        result = lint(root, rules=RULES)
+        assert [f.symbol for f in result.active] == ["Broker.attach"]
+        assert "Worker.__init__ forks" in result.active[0].message
+
+    def test_process_pools_under_lock(self, make_project, lint):
+        # A process pool forks its workers at construction: both pool
+        # flavours are fork sites.
+        root = make_project({"svc/fanout.py": '''
+import threading
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
+
+class Fanout:
+    def __init__(self):
+        self._lock = threading.Lock()
+
+    def map_pool(self, fn, items):
+        with self._lock:
+            with multiprocessing.get_context("fork").Pool(2) as pool:
+                return pool.map(fn, items)
+
+    def map_executor(self, fn, items):
+        with self._lock:
+            with ProcessPoolExecutor(max_workers=2) as executor:
+                return list(executor.map(fn, items))
+'''})
+        result = lint(root, rules=RULES)
+        assert sorted(f.symbol for f in result.active) == [
+            "Fanout.map_executor", "Fanout.map_pool"]
+        assert all("forks while holding" in f.message
+                   for f in result.active)
+
 
 class TestStaysSilent:
+    def test_thread_pools_under_lock_and_process_pool_outside(
+            self, make_project, lint):
+        # Thread pools never fork; a process pool made outside the
+        # lock is the safe pattern.
+        root = make_project({"svc/fanout.py": '''
+import threading
+import multiprocessing
+from concurrent.futures import ThreadPoolExecutor
+from multiprocessing.pool import ThreadPool
+
+
+class Fanout:
+    def __init__(self):
+        self._lock = threading.Lock()
+
+    def map_threads(self, fn, items):
+        with self._lock:
+            with ThreadPoolExecutor(max_workers=2) as executor:
+                first = list(executor.map(fn, items))
+            with ThreadPool(2) as pool:
+                return first + pool.map(fn, items)
+
+    def map_processes(self, fn, items):
+        with self._lock:
+            chunk = list(items)
+        with multiprocessing.Pool(2) as pool:
+            return pool.map(fn, chunk)
+'''})
+        assert lint(root, rules=RULES).active == []
     def test_fork_outside_lock(self, make_project, lint):
         root = make_project({"svc/pool.py": '''
 import threading

@@ -111,8 +111,18 @@ def _spawn_cluster(port: int, journal_dir: str) -> subprocess.Popen:
          "--journal-dir", journal_dir, "--durability", "flush",
          "--drain-timeout", "20"],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        text=True,
+        text=True, start_new_session=True,
     )
+
+
+def _kill_group(daemon: subprocess.Popen) -> None:
+    """SIGKILL the daemon's whole process group: ``daemon.kill()``
+    alone would leave a stuck child of the daemon running."""
+    try:
+        os.killpg(daemon.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    daemon.wait(timeout=10.0)
 
 
 class TestClusterEndToEnd:
@@ -146,9 +156,7 @@ class TestClusterEndToEnd:
             assert daemon.returncode == 0, output
             assert "draining" in output
         finally:
-            if daemon.poll() is None:  # pragma: no cover - hung drain
-                daemon.kill()
-                daemon.wait(timeout=10.0)
+            _kill_group(daemon)
 
     def test_loadgen_cli_against_live_cluster(self, tmp_path):
         """The ``repro loadgen --cluster`` CLI writes a report with the
@@ -178,6 +186,4 @@ class TestClusterEndToEnd:
             assert report["totals"]["failures"] == 0
             assert "cluster" in report
         finally:
-            if daemon.poll() is None:
-                daemon.kill()
-                daemon.wait(timeout=10.0)
+            _kill_group(daemon)

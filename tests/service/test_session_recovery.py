@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import signal
+import time
 
 import pytest
 
@@ -70,10 +71,18 @@ def _check_against_oracle(response, oracle_response):
             assert warm["installed_rules"] == cold["installed_rules"]
 
 
-def _session_proc(service, deployment="prod"):
+def _session_worker(service, deployment="prod"):
     worker = service.broker._deployments[deployment].session
     assert worker is not None and worker.executor == "process"
-    return worker._proc
+    return worker
+
+
+def _kill(worker) -> None:
+    """SIGKILL the session worker's child and wait up to 5 s for it."""
+    os.kill(worker.pid, signal.SIGKILL)
+    deadline = time.monotonic() + 5.0
+    while worker.alive and time.monotonic() < deadline:
+        time.sleep(0.01)
 
 
 @pytest.fixture
@@ -115,10 +124,9 @@ class TestSessionCrashRecovery:
                                                    timeout=120.0))
 
         # Kill the live session worker the hard way.
-        proc = _session_proc(svc)
-        os.kill(proc.pid, signal.SIGKILL)
-        proc.join(timeout=5.0)
-        assert not proc.is_alive()
+        worker = _session_worker(svc)
+        _kill(worker)
+        assert not worker.alive
 
         # The next delta finds the corpse, rebuilds the session cold
         # from the authoritative deployer, and still answers.
@@ -184,9 +192,7 @@ class TestSessionCrashRecovery:
         attached = svc.handle(SessionRequest(deployment="prod",
                                              op="attach"), timeout=30.0)
         assert attached.ok
-        proc = _session_proc(svc)
-        os.kill(proc.pid, signal.SIGKILL)
-        proc.join(timeout=5.0)
+        _kill(_session_worker(svc))
 
         status = svc.handle(SessionRequest(deployment="prod", op="status"),
                             timeout=30.0)

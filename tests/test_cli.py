@@ -3,6 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -206,3 +212,42 @@ class TestChaos:
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL" in out
+
+
+class TestServe:
+    def test_sigusr1_dumps_stacks_and_keeps_serving(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__),
+                                         "..", "src")
+        log = tmp_path / "serve.log"
+        with open(log, "w") as out:
+            daemon = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "serve", "--port", "0"],
+                env=env, stdout=out, stderr=subprocess.STDOUT,
+                start_new_session=True)
+        try:
+            port = _wait_for(daemon, log, r"serving on [0-9.]+:([0-9]+)")
+            daemon.send_signal(signal.SIGUSR1)
+            _wait_for(daemon, log, r"\(most recent call first\)")
+            assert main(["ping", "--port", port]) == 0
+            daemon.send_signal(signal.SIGTERM)
+            assert daemon.wait(timeout=60.0) == 0
+        finally:
+            try:
+                os.killpg(daemon.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            daemon.wait(timeout=10.0)
+
+
+def _wait_for(daemon, log, pattern: str, timeout: float = 60.0) -> str:
+    """The first group (or whole match) of ``pattern`` once the live
+    daemon's log has it."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline and daemon.poll() is None:
+        found = re.search(pattern, log.read_text())
+        if found:
+            return found.group(found.lastindex or 0)
+        time.sleep(0.05)
+    raise AssertionError(f"{pattern!r} not in the log of the daemon "
+                         f"(exit {daemon.poll()}):\n{log.read_text()}")
