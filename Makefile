@@ -116,13 +116,13 @@ bench-recovery:
 bench-recovery-quick:
 	REPRO_SERVE_QUICK=1 $(PYTHON) -m pytest benchmarks/test_service_throughput.py -q -s -k TestDurability
 
-# Cluster acceptance benchmarks: idle-connection capacity (async vs
-# threaded front-end) and 1 -> 4 shard warm-delta scaling; writes
-# BENCH_pr8.json.
+# Cluster acceptance benchmarks: idle-connection capacity (1000 idle
+# connections on the asyncio front-end, ping p95 <= 10 ms) and 1 -> 4
+# shard warm-delta scaling; writes BENCH_pr8.json.
 bench-cluster:
 	$(PYTHON) -m pytest benchmarks/test_cluster_scaling.py -q -s
 
-# Smaller workloads (40 vs 200 idle conns, 1 -> 2 shards); merges into
+# Smaller workloads (200 idle conns, 1 -> 2 shards); merges into
 # BENCH_pr8.json without clobbering full-tier numbers.
 bench-cluster-quick:
 	REPRO_CLUSTER_QUICK=1 $(PYTHON) -m pytest benchmarks/test_cluster_scaling.py -q -s

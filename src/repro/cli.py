@@ -164,12 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP port (0 picks a free one)")
     serve.add_argument("--stdio", action="store_true",
                        help="serve NDJSON on stdin/stdout instead of TCP")
-    serve.add_argument("--frontend", choices=["async", "threaded"],
-                       default="async",
-                       help="connection front-end: one asyncio event "
-                            "loop multiplexing every connection "
-                            "(default), or the legacy thread-per-"
-                            "connection server")
     serve.add_argument("--shards", type=int, default=1,
                        help="run N placement shards behind a "
                             "consistent-hash router (1 = single "
@@ -225,9 +219,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "front-end (default: fresh in-process "
                               "target)")
     loadgen.add_argument("--cluster", action="store_true",
-                         help="cluster workload: keyed traffic over "
-                              "multiple deployments, per-shard spread "
-                              "and cache-affinity report")
+                         help="cluster workload: delta traffic over "
+                              "--deployments named deployments and, "
+                              "without --address, --shards in-process "
+                              "shards")
     loadgen.add_argument("--shards", type=int, default=3,
                          help="in-process shards when --cluster runs "
                               "without --address")
@@ -508,8 +503,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
 
-    from .service import PlacementService, ServiceServer
+    from .service import PlacementService
     from .service.daemon import serve_stdio
+    from .service.frontend import AsyncFrontend
 
     # SIGUSR1 dumps every thread's stack to stderr and serving goes on:
     # how an operator sees where a wedged daemon is stuck.
@@ -517,9 +513,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.shards < 1:
         print("--shards must be >= 1", file=sys.stderr)
         return 2
-    if args.shards > 1 and (args.stdio or args.frontend == "threaded"):
-        print("--shards > 1 requires the async TCP front-end "
-              "(no --stdio, no --frontend threaded)", file=sys.stderr)
+    if args.shards > 1 and args.stdio:
+        print("--shards > 1 requires the TCP front-end (no --stdio)",
+              file=sys.stderr)
         return 2
 
     # Assemble the backend: one service, or N shards + a router.
@@ -557,32 +553,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         def close_backend(drain: bool) -> None:
             service.close(drain=drain, drain_timeout=args.drain_timeout)
 
-    # Assemble the front-end.
-    if args.frontend == "threaded":
-        server = ServiceServer(backend, host=args.host, port=args.port)
-        server.start()
-        address = server.address
-
-        def stop_frontend(drain: bool) -> None:
-            # ServiceServer.shutdown also closes its service -- the
-            # single close path the threaded stack has always had.
-            server.shutdown(drain=drain,
-                            drain_timeout=args.drain_timeout)
-    else:
-        from .service.frontend import AsyncFrontend
-
-        frontend = AsyncFrontend(backend, host=args.host, port=args.port)
-        frontend.start()
-        address = frontend.address
-
-        def stop_frontend(drain: bool) -> None:
-            frontend.shutdown(drain=drain,
-                              drain_timeout=args.drain_timeout)
-            close_backend(drain)
-
+    # Assemble the front-end; it never closes the backend itself.
+    frontend = AsyncFrontend(backend, host=args.host, port=args.port)
+    frontend.start()
+    address = frontend.address
     print(f"repro {__version__} serving on "
           f"{address[0]}:{address[1]} "
-          f"(frontend={args.frontend}, shards={args.shards}, "
+          f"(frontend=async, shards={args.shards}, "
           f"executor={args.executor}, workers={args.workers}, "
           f"queue={args.queue}, "
           f"journal={args.journal_dir or 'off'})",
@@ -602,7 +579,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             if stopped[0]:
                 return
             stopped[0] = True
-        stop_frontend(drain)
+        frontend.shutdown(drain=drain, drain_timeout=args.drain_timeout)
+        close_backend(drain)
 
     def _drain_and_exit(signum: int, _frame: object) -> None:
         name = signal.Signals(signum).name
@@ -632,19 +610,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_ping(args: argparse.Namespace) -> int:
-    from .service.daemon import ping
     from .service.client import ServiceClient, ServiceUnavailable
-    from .service.protocol import HealthRequest
+    from .service.protocol import HealthRequest, PingRequest
 
+    try:
+        with ServiceClient(host=args.host, port=args.port,
+                           timeout=args.timeout,
+                           connect_timeout=args.timeout,
+                           retries=0) as client:
+            response = client.call(HealthRequest(deep=True) if args.deep
+                                   else PingRequest())
+    except (ServiceUnavailable, OSError) as exc:
+        print(f"ping {args.host}:{args.port} failed: {exc}",
+              file=sys.stderr)
+        return 1
     if args.deep:
-        try:
-            with ServiceClient(host=args.host, port=args.port,
-                               timeout=args.timeout, retries=0) as client:
-                response = client.call(HealthRequest(deep=True))
-        except (ServiceUnavailable, OSError) as exc:
-            print(f"ping {args.host}:{args.port} failed: {exc}",
-                  file=sys.stderr)
-            return 1
         result = response.result or {}
         journal = result.get("journal") or {}
         print(f"health from {args.host}:{args.port}: "
@@ -666,11 +646,6 @@ def _cmd_ping(args: argparse.Namespace) -> int:
             print(f"  dead sessions: {result['dead_sessions']}",
                   file=sys.stderr)
         return 0 if result.get("healthy") else 1
-    try:
-        response = ping(args.host, args.port, timeout=args.timeout)
-    except OSError as exc:
-        print(f"ping {args.host}:{args.port} failed: {exc}", file=sys.stderr)
-        return 1
     if not response.ok:
         print(f"ping unhealthy: {response.status} {response.error}",
               file=sys.stderr)
@@ -686,20 +661,13 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     import json
     import os
 
-    from .service.loadgen import (
-        ClusterLoadgenConfig,
-        LoadgenConfig,
-        run_cluster_loadgen,
-        run_loadgen,
-    )
+    from .service.loadgen import LoadgenConfig, run_loadgen
 
     quick = args.quick or os.environ.get("REPRO_CLUSTER_QUICK") == "1"
+    config = LoadgenConfig(seed=args.seed, address=args.address)
     if args.cluster:
-        config = ClusterLoadgenConfig(
-            seed=args.seed, address=args.address,
-            shards=args.shards, deployments=args.deployments)
-    else:
-        config = LoadgenConfig(seed=args.seed, address=args.address)
+        config.shards = args.shards
+        config.deployments = args.deployments
     if quick:
         config.unique_instances = 3
         config.repeats = 2
@@ -717,10 +685,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     if args.clients is not None:
         config.clients = args.clients
 
-    if args.cluster:
-        report = run_cluster_loadgen(config)
-    else:
-        report = run_loadgen(config)
+    report = run_loadgen(config)
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -27,15 +27,10 @@ from .cluster import (
     LocalShard,
     RemoteShard,
 )
-from .daemon import PlacementService, ServiceConfig, ServiceServer
+from .daemon import PlacementService, ServiceConfig
 from .frontend import AsyncFrontend
 from .journal import Journal, JournalCorruption, JournalRecord
-from .loadgen import (
-    ClusterLoadgenConfig,
-    LoadgenConfig,
-    run_cluster_loadgen,
-    run_loadgen,
-)
+from .loadgen import LoadgenConfig, run_loadgen
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .protocol import (
     DeltaRequest,
@@ -61,7 +56,6 @@ __all__ = [
     "AsyncFrontend",
     "Broker",
     "CacheStats",
-    "ClusterLoadgenConfig",
     "ClusterRouter",
     "Counter",
     "DeltaRequest",
@@ -88,7 +82,6 @@ __all__ = [
     "ResultCache",
     "ServiceClient",
     "ServiceConfig",
-    "ServiceServer",
     "ServiceUnavailable",
     "SolveRequest",
     "Supervisor",
@@ -102,6 +95,5 @@ __all__ = [
     "decode_response",
     "encode_request",
     "encode_response",
-    "run_cluster_loadgen",
     "run_loadgen",
 ]

@@ -241,9 +241,3 @@ class ServiceClient:
         """Did this response ack a durable commit (fresh or replayed)?"""
         return response.status == ResponseStatus.OK
 
-
-def call_once(host: str, port: int, request: Request,
-              timeout: float = 30.0) -> Response:
-    """One-shot convenience: connect, call (with retries), close."""
-    with ServiceClient(host=host, port=port, timeout=timeout) as client:
-        return client.call(request)

@@ -261,13 +261,14 @@ class RemoteShard:
 
     def telemetry(self) -> Dict[str, int]:
         """Summed connection-pool counters across this shard's
-        per-thread clients."""
+        per-thread clients, and how many clients there are."""
         totals = {"reconnects": 0, "retried_requests": 0, "pool_hits": 0}
         with self._clients_lock:
             clients = list(self._clients)
         for client in clients:
             for key, value in client.telemetry().items():
                 totals[key] = totals.get(key, 0) + value
+        totals["clients"] = len(clients)
         return totals
 
     def close(self) -> None:

@@ -1,4 +1,4 @@
-"""The placement daemon: service facade and NDJSON transports.
+"""The placement daemon: the service facade and its stdio transport.
 
 :class:`PlacementService` assembles the serving stack -- metrics
 registry, content-addressed result cache, worker pool, broker -- behind
@@ -7,11 +7,12 @@ two call styles:
 * **in-process**: ``service.submit(request)`` returns a ticket
   (future); ``service.handle(request)`` blocks for the response.  The
   load generator and the test suite drive the service this way.
-* **over the wire**: :class:`ServiceServer` speaks newline-delimited
-  JSON over TCP (``repro serve --port``) or stdio (``repro serve
-  --stdio``).  One request per line, one response per line, ``id``
-  correlation via ``request_id``; a malformed line gets a
-  ``BAD_REQUEST`` response instead of killing the connection.
+* **over the wire**: newline-delimited JSON, one request per line and
+  one response per line, correlated by ``request_id``; a malformed
+  line gets a ``BAD_REQUEST`` response instead of killing the
+  connection.  TCP is served by
+  :class:`~repro.service.frontend.AsyncFrontend` (``repro serve
+  --port``), stdio by :func:`serve_stdio` (``repro serve --stdio``).
 
 Control-plane requests (``ping``, ``health``, ``ready``, ``metrics``,
 ``invalidate``) are answered inline without queueing -- liveness probes
@@ -28,10 +29,6 @@ supervisor.Supervisor` then keeps session workers alive.
 
 from __future__ import annotations
 
-import json
-import socket
-import socketserver
-import threading
 from typing import Any, Dict, List, Optional
 
 from .. import __version__
@@ -47,19 +44,18 @@ from .protocol import (
     InvalidateRequest,
     MetricsRequest,
     PingRequest,
-    ProtocolError,
     ReadyRequest,
     Request,
     Response,
     ResponseStatus,
     SessionRequest,
-    decode_request,
+    decode_request_or_error,
     encode_response,
 )
 from .supervisor import Supervisor, SupervisorConfig
 from .workers import commit_delta, WorkerPool
 
-__all__ = ["PlacementService", "ServiceConfig", "ServiceServer"]
+__all__ = ["PlacementService", "ServiceConfig"]
 
 
 class ServiceConfig:
@@ -348,18 +344,9 @@ class PlacementService:
 
     def handle_line(self, line: str) -> str:
         """One NDJSON request line -> one NDJSON response line."""
-        request_id: Optional[str] = None
-        try:
-            try:
-                request_id = json.loads(line).get("request_id")
-            except (json.JSONDecodeError, AttributeError):
-                pass
-            request = decode_request(line)
-        except ProtocolError as exc:
-            return encode_response(Response(
-                status=ResponseStatus.BAD_REQUEST,
-                request_id=request_id, error=str(exc),
-            ))
+        request, bad_answer = decode_request_or_error(line)
+        if bad_answer is not None:
+            return bad_answer
         return encode_response(self.handle(request))
 
     def close(self, drain: bool = False,
@@ -457,158 +444,6 @@ class PlacementService:
         }
 
 
-# ---------------------------------------------------------------------------
-# Wire transports
-# ---------------------------------------------------------------------------
-
-
-class _Handler(socketserver.StreamRequestHandler):
-    def handle(self) -> None:
-        service: PlacementService = self.server.service  # type: ignore[attr-defined]
-        for raw in self.rfile:
-            line = raw.decode("utf-8", errors="replace").strip()
-            if not line:
-                continue
-            answer = service.handle_line(line)
-            try:
-                self.wfile.write(answer.encode("utf-8") + b"\n")
-                self.wfile.flush()
-            except (BrokenPipeError, ConnectionResetError):
-                return
-
-
-class _ThreadedTCPServer(socketserver.ThreadingTCPServer):
-    """Thread-per-connection TCP server with a self-pipe wakeup.
-
-    ``socketserver.BaseServer.serve_forever`` polls its selector with a
-    timeout, so a ``shutdown()`` under zero traffic historically waited
-    out the rest of the current poll interval (and older revisions
-    resorted to a connect-to-self nudge).  This accept loop instead
-    registers one end of a socketpair in the selector: ``shutdown()``
-    writes a byte, the selector wakes immediately, and drain completes
-    promptly whether or not a client ever connects.
-    """
-
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._wake_recv, self._wake_send = socket.socketpair()
-        self._wake_recv.setblocking(False)
-        self._stop_requested = False
-        self._loop_exited = threading.Event()
-        self._loop_exited.set()  # not serving yet
-
-    def serve_forever(self, poll_interval: float = 0.5) -> None:
-        """Accept until :meth:`shutdown`; wakes via self-pipe, so
-        ``poll_interval`` is accepted for API compatibility but never
-        used as a timeout."""
-        import selectors
-
-        # One-shot: a shutdown() issued before the loop starts must
-        # still win, so the stop flag is never reset here.
-        self._loop_exited.clear()
-        try:
-            if self._stop_requested:
-                return
-            with selectors.DefaultSelector() as selector:
-                try:
-                    selector.register(self, selectors.EVENT_READ)
-                    selector.register(self._wake_recv,
-                                      selectors.EVENT_READ)
-                except (ValueError, OSError):
-                    # server_close() already ran (shutdown won the
-                    # race before the loop started): nothing to serve.
-                    return
-                while not self._stop_requested:
-                    for key, _ in selector.select():
-                        if key.fileobj is self._wake_recv:
-                            try:
-                                self._wake_recv.recv(4096)
-                            except BlockingIOError:  # pragma: no cover
-                                pass
-                        elif not self._stop_requested:
-                            self._handle_request_noblock()
-                    self.service_actions()
-        finally:
-            self._loop_exited.set()
-
-    def shutdown(self) -> None:
-        self._stop_requested = True
-        try:
-            self._wake_send.send(b"\0")
-        except OSError:  # pragma: no cover - already closed
-            pass
-        self._loop_exited.wait()
-
-    def server_close(self) -> None:
-        super().server_close()
-        for end in (self._wake_recv, self._wake_send):
-            try:
-                end.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-
-
-class ServiceServer:
-    """NDJSON-over-TCP front end for one :class:`PlacementService`."""
-
-    def __init__(self, service: PlacementService,
-                 host: str = "127.0.0.1", port: int = 0) -> None:
-        self.service = service
-        self._server = _ThreadedTCPServer((host, port), _Handler)
-        self._server.service = service  # type: ignore[attr-defined]
-        self._thread: Optional[threading.Thread] = None
-        self._shutdown_lock = threading.Lock()
-        self._shut_down = False
-
-    @property
-    def address(self) -> tuple:
-        return self._server.server_address
-
-    @property
-    def port(self) -> int:
-        return self._server.server_address[1]
-
-    def start(self) -> None:
-        """Serve in a background thread (tests, embedded use)."""
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            kwargs={"poll_interval": 0.1},
-            name="repro-serve", daemon=True,
-        )
-        self._thread.start()
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread (the CLI daemon path)."""
-        self._server.serve_forever(poll_interval=0.1)
-
-    def shutdown(self, drain: bool = True,
-                 drain_timeout: Optional[float] = 30.0) -> None:
-        """Stop the server; graceful by default.
-
-        Ordering is what makes this drain *cleanly*: first stop
-        accepting connections, then let the broker finish (and ack)
-        every admitted request -- connection handler threads are still
-        alive to write those responses -- and only then tear the stack
-        down.  The old behavior (answer pending with ERROR) is
-        ``drain=False``.
-
-        Safe to call from any thread, including a signal handler's
-        helper thread; idempotent.
-        """
-        with self._shutdown_lock:
-            if self._shut_down:
-                return
-            self._shut_down = True
-        self._server.shutdown()
-        self.service.close(drain=drain, drain_timeout=drain_timeout)
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-
-
 def serve_stdio(service: PlacementService, stdin, stdout) -> int:
     """NDJSON over stdio: read request lines until EOF."""
     for line in stdin:
@@ -618,16 +453,3 @@ def serve_stdio(service: PlacementService, stdin, stdout) -> int:
         stdout.write(service.handle_line(line) + "\n")
         stdout.flush()
     return 0
-
-
-def ping(host: str, port: int, timeout: float = 5.0) -> Response:
-    """Client-side liveness probe against a running daemon."""
-    from .protocol import decode_response, encode_request
-
-    with socket.create_connection((host, port), timeout=timeout) as conn:
-        conn.sendall((encode_request(PingRequest()) + "\n").encode("utf-8"))
-        reader = conn.makefile("r", encoding="utf-8")
-        line = reader.readline()
-    if not line:
-        raise ConnectionError("daemon closed the connection without answering")
-    return decode_response(line.strip())

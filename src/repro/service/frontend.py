@@ -1,22 +1,22 @@
 """Asyncio NDJSON front-end for the placement service.
 
-The PR 5 :class:`~repro.service.daemon.ServiceServer` spends one OS
-thread per connection, which caps the daemon at a few hundred mostly-
-idle controllers.  This front-end multiplexes every connection onto one
-event loop: tens of thousands of *idle* NDJSON connections cost a
-handful of file descriptors and buffers each, and only requests that
-are actually in flight consume real work.
+The daemon's one TCP server (``repro serve``; ``--stdio`` is the other
+transport).  Every connection is multiplexed onto one event loop: tens
+of thousands of *idle* NDJSON connections cost a handful of file
+descriptors and buffers each, and only requests that are actually in
+flight consume real work.
 
 Division of labor, chosen so the event loop never blocks:
 
+* **accepting**: a reader callback on the listening socket; each
+  accepted socket gets its connection task in the same loop step.
 * **reading**: ``asyncio`` stream per connection; one request line in,
-  one response line out, ``request_id`` correlation -- the identical
-  wire protocol the threaded server speaks.
-* **parsing/validating**: :func:`~repro.service.protocol.decode_request`
-  deserializes whole placement instances, which can be megabytes of
-  JSON; it runs on a small thread pool (``parse_workers``), off the
-  loop's hot path.
-* **executing**: the backend's ``submit()`` is non-blocking (the PR 5
+  one response line out, ``request_id`` correlation.
+* **parsing/validating**:
+  :func:`~repro.service.protocol.decode_request_or_error` deserializes
+  whole placement instances, which can be megabytes of JSON; it runs on
+  a small thread pool (``parse_workers``), off the loop's hot path.
+* **executing**: the backend's ``submit()`` is non-blocking (the
   broker's admission guarantee) and returns a
   :class:`~repro.service.broker.Ticket`; the ticket's done-callback is
   bridged onto the loop with ``call_soon_threadsafe``.  Blocking broker
@@ -26,26 +26,30 @@ The ``backend`` is anything with ``submit(request) -> Ticket``: a
 :class:`~repro.service.daemon.PlacementService` (one shard) or a
 :class:`~repro.service.cluster.ClusterRouter` (many).
 
-Shutdown is loop-native -- no poll interval, no connect-to-self nudge:
-``shutdown()`` posts a cancellation onto the loop, which closes the
-listener, optionally waits for in-flight requests to be answered
-(``drain=True``), then cancels the per-connection readers.  Under zero
-traffic that completes in milliseconds.
+Shutdown is loop-native -- no poll interval, no connect-to-self nudge.
+``shutdown()`` posts a stop onto the loop, which stops accepting,
+closes the listener, and reads no further request on any connection.
+With ``drain=True`` every request already read is answered before its
+connection closes; a connection with nothing read closes at once, and
+:class:`~repro.service.client.ServiceClient` retries on that EOF.  No
+accepted socket outlives the loop -- whatever a connection task did not
+close is closed as the loop exits, so a client never waits out its own
+timeout.  Under zero traffic shutdown completes in milliseconds.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
+import socket
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Optional
 
 from .protocol import (
-    ProtocolError,
     Response,
     ResponseStatus,
-    decode_request,
+    decode_request_or_error,
     encode_response,
 )
 
@@ -55,25 +59,9 @@ __all__ = ["AsyncFrontend"]
 #: buffering without bound.  Sized for ~100k-rule instances.
 _DEFAULT_LINE_LIMIT = 256 * 1024 * 1024
 
-
-def _decode_or_error(line: str):
-    """Decode one request line, entirely on the parse pool.
-
-    Returns ``(request, None)`` on success or ``(None, answer)`` with
-    the BAD_REQUEST response already encoded -- the event loop only
-    ever forwards bytes, it never parses or serializes them.
-    """
-    try:
-        return decode_request(line), None
-    except ProtocolError as exc:
-        request_id = None
-        try:
-            request_id = json.loads(line).get("request_id")
-        except (json.JSONDecodeError, AttributeError):
-            pass
-        return None, encode_response(Response(
-            status=ResponseStatus.BAD_REQUEST,
-            request_id=request_id, error=str(exc)))
+#: Seconds to pause accepting after an accept error such as running out
+#: of file descriptors (asyncio's own servers pause as long).
+_ACCEPT_RETRY_DELAY = 1.0
 
 
 class AsyncFrontend:
@@ -90,6 +78,8 @@ class AsyncFrontend:
     ) -> None:
         self.backend = backend
         self.host = host
+        #: The requested port until :meth:`start` binds, then the bound
+        #: one (port 0 asks for a free port).
         self.port = port
         self.backlog = backlog
         self.max_line_bytes = max_line_bytes
@@ -101,11 +91,17 @@ class AsyncFrontend:
             status=ResponseStatus.BAD_REQUEST,
             error=f"request line exceeds {max_line_bytes} bytes"))
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._server: Optional[asyncio.base_events.Server] = None
+        self._listener: Optional[socket.socket] = None
         self._thread: Optional[threading.Thread] = None
         self._conn_tasks: set = set()
-        self._pending = 0
-        self._pending_zero: Optional[asyncio.Event] = None
+        #: Every accepted socket, until it is garbage.  Whatever is still
+        #: open when the loop exits was cut short before its connection
+        #: task (or its transport's close callback) ran; it is closed then.
+        self._sockets: "weakref.WeakSet[socket.socket]" = weakref.WeakSet()
+        #: Connection tasks with a request between read and answer.
+        self._serving: set = set()
+        #: Set once shutdown begins: no connection reads another line.
+        self._stopping = False
         self._started = threading.Event()
         self._stopped = threading.Event()
         self._shutdown_lock = threading.Lock()
@@ -134,23 +130,20 @@ class AsyncFrontend:
             raise RuntimeError("frontend not started")
         return self._address
 
-    @property
-    def port_(self) -> int:  # pragma: no cover - convenience alias
-        return self.address[1]
-
     def start(self) -> None:
-        """Serve on a background event-loop thread (tests, embedding)."""
+        """Bind, then serve on a background event-loop thread.  A bind
+        failure raises here, before any thread starts."""
+        family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
+        self._listener = socket.create_server(
+            (self.host, self.port), family=family, backlog=self.backlog)
+        self._listener.setblocking(False)
+        self._address = self._listener.getsockname()[:2]
+        self.port = self._address[1]
         self._thread = threading.Thread(
             target=self._run_loop, name="repro-async-frontend", daemon=True)
         self._thread.start()
         if not self._started.wait(timeout=10.0):
             raise RuntimeError("async frontend failed to start")
-        if self._address is None:
-            raise RuntimeError("async frontend failed to bind")
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread (the CLI daemon path)."""
-        self._run_loop()
 
     def _run_loop(self) -> None:
         loop = asyncio.new_event_loop()
@@ -167,49 +160,47 @@ class AsyncFrontend:
             except Exception:  # pragma: no cover - teardown best effort
                 pass
             loop.close()
+            self._listener.close()
+            for conn in list(self._sockets):
+                conn.close()
             self._stopped.set()
 
     async def _serve(self) -> None:
-        self._pending_zero = asyncio.Event()
-        self._pending_zero.set()
+        loop = asyncio.get_running_loop()
         self._stop_accepting = asyncio.Event()
-        try:
-            self._server = await asyncio.start_server(
-                self._handle_connection, host=self.host, port=self.port,
-                limit=self.max_line_bytes, backlog=self.backlog,
-                reuse_address=True)
-        except OSError:
-            self._started.set()
-            raise
-        self._address = self._server.sockets[0].getsockname()[:2]
+        loop.add_reader(self._listener, self._accept)
         self._started.set()
-        async with self._server:
-            await self._stop_accepting.wait()
-            # Stop accepting, then (drain path) let in-flight answers
-            # land before the reader tasks are cancelled.
-            self._server.close()
-            await self._server.wait_closed()
-            if self._drain_requested and self._pending:
-                try:
-                    await asyncio.wait_for(
-                        self._pending_zero.wait(),
-                        timeout=self._drain_timeout)
-                except asyncio.TimeoutError:  # pragma: no cover - hung
-                    pass
-            for task in list(self._conn_tasks):
+        await self._stop_accepting.wait()
+        # Stop accepting: every socket accepted so far already has its
+        # connection task.  From here no connection reads another line,
+        # so the requests in flight are all there will be: a drain lets
+        # them be answered, every other connection closes at once.
+        loop.remove_reader(self._listener)
+        self._listener.close()
+        self._stopping = True
+        for task in self._conn_tasks:
+            if not (self._drain_requested and task in self._serving):
                 task.cancel()
-            if self._conn_tasks:
-                await asyncio.gather(*self._conn_tasks,
-                                     return_exceptions=True)
+        if self._conn_tasks:
+            await asyncio.wait(self._conn_tasks,
+                               timeout=self._drain_timeout)
+        for task in self._conn_tasks:
+            task.cancel()  # past the drain timeout
+        if self._conn_tasks:
+            await asyncio.gather(*self._conn_tasks,
+                                 return_exceptions=True)
 
     def shutdown(self, drain: bool = True,
                  drain_timeout: Optional[float] = 30.0) -> None:
         """Stop serving; graceful by default.
 
-        ``drain=True``: close the listener, wait for every in-flight
-        request to be answered on its connection, then disconnect the
-        idle readers.  The *backend* is not closed here -- the caller
-        owns its lifetime (and typically drains its broker next).
+        ``drain=True``: close the listener and read no further
+        request; every request already read is answered before its
+        connection closes, and idle connections close at once (all of
+        them, answered or not, once ``drain_timeout`` passes).
+        ``drain=False`` closes every connection at once.  The *backend*
+        is not closed here -- the
+        caller owns its lifetime (and typically drains its broker next).
         Loop-native: completes promptly under zero traffic.  Safe from
         any thread; idempotent.
         """
@@ -242,14 +233,39 @@ class AsyncFrontend:
     # Connection handling
     # ------------------------------------------------------------------
 
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
+    def _accept(self) -> None:
+        """Listener reader callback: accept what is queued; each socket
+        gets its connection task in this same step."""
+        loop = self._loop
+        for _ in range(self.backlog):
+            try:
+                conn, _peer = self._listener.accept()
+            except (BlockingIOError, InterruptedError,
+                    ConnectionAbortedError):
+                return
+            except OSError:  # pragma: no cover - e.g. out of descriptors
+                # Pause accepting rather than spin on a readable
+                # listener (asyncio's own servers pause as long).
+                loop.remove_reader(self._listener)
+                loop.call_later(_ACCEPT_RETRY_DELAY, self._resume_accepting)
+                return
+            self._sockets.add(conn)
+            self._conn_tasks.add(loop.create_task(self._connection(conn)))
+
+    def _resume_accepting(self) -> None:  # pragma: no cover - see _accept
+        if not self._stop_accepting.is_set():
+            self._loop.add_reader(self._listener, self._accept)
+
+    async def _connection(self, conn: socket.socket) -> None:
+        """Serve one accepted socket until EOF, an oversized line, or
+        shutdown; always closes it."""
+        writer: Optional[asyncio.StreamWriter] = None
         if self._g_connections is not None:
             self._g_connections.inc()
         try:
-            while True:
+            reader, writer = await asyncio.open_connection(
+                sock=conn, limit=self.max_line_bytes)
+            while not self._stopping:
                 try:
                     raw = await reader.readline()
                 except (asyncio.LimitOverrunError, ValueError):
@@ -265,29 +281,24 @@ class AsyncFrontend:
                 if not line:
                     continue
                 answer = await self._serve_line(line)
-                try:
-                    await self._write_line(writer, answer)
-                except (ConnectionResetError, BrokenPipeError):
-                    return
-        except asyncio.CancelledError:
-            pass  # shutdown path: fall through to the cleanup below
+                await self._write_line(writer, answer)
         except (ConnectionResetError, BrokenPipeError,
                 TimeoutError, OSError):  # pragma: no cover - peer died
             pass
         finally:
-            self._conn_tasks.discard(task)
+            self._conn_tasks.discard(asyncio.current_task())
             if self._g_connections is not None:
                 self._g_connections.dec()
-            try:
+            if writer is not None:
                 writer.close()
-            except Exception:  # pragma: no cover - already torn down
-                pass
+            else:
+                conn.close()
 
     async def _serve_line(self, line: str) -> str:
         """One request line -> one response line, never raising."""
         loop = asyncio.get_running_loop()
-        self._pending += 1
-        self._pending_zero.clear()
+        task = asyncio.current_task()
+        self._serving.add(task)
         if self._c_requests is not None:
             self._c_requests.inc()
         try:
@@ -297,7 +308,7 @@ class AsyncFrontend:
                 # but on the pool it never stalls connection I/O.  The
                 # malformed-line answer is encoded there too.
                 request, bad_answer = await loop.run_in_executor(
-                    self._parse_pool, _decode_or_error, line)
+                    self._parse_pool, decode_request_or_error, line)
             except RuntimeError as exc:  # pragma: no cover - pool closed
                 # Shutdown race: one small constant encode on the loop.
                 # repro: allow[REP-ASYNC] pool is closed; tiny fixed-size payload on the shutdown path
@@ -317,9 +328,7 @@ class AsyncFrontend:
                 # repro: allow[REP-ASYNC] pool is closed; last in-flight answer on the shutdown path
                 return encode_response(response)
         finally:
-            self._pending -= 1
-            if self._pending == 0:
-                self._pending_zero.set()
+            self._serving.discard(task)
 
     async def _submit(self, request) -> Response:
         """Bridge the broker's threading Ticket into the event loop."""

@@ -1,22 +1,29 @@
 """Seeded load generator for the placement service.
 
-Replays a deterministic mixed workload against a
-:class:`~repro.service.daemon.PlacementService` from concurrent client
-threads and measures what the serving layer is for:
+Replays a deterministic mixed workload from concurrent client threads
+against anything with ``handle(request, timeout) -> Response`` -- a
+:class:`~repro.service.daemon.PlacementService`, a
+:class:`~repro.service.cluster.ClusterRouter` or
+:class:`~repro.service.cluster.LocalCluster`, or a daemon or cluster
+front-end over TCP -- and measures what the serving layer is for:
 
-* **cold solves**   -- distinct instances, every one a cache miss;
+* **cold solves**   -- distinct instances, every one a cache miss; the
+  first ``deployments`` of them also register the named deployments
+  the delta phase evolves;
 * **warm repeats**  -- the same instances again, answered from the
-  content-addressed cache;
+  content-addressed cache (on a cluster, by the shard holding it);
 * **coalesced burst** -- one fresh digest submitted simultaneously by
   every client; exactly one solve must run;
-* **incremental deltas** -- install/remove/reroute against a live
-  deployment through the greedy->sub-ILP ladder.
+* **incremental deltas** -- install/remove pairs through the
+  greedy->sub-ILP ladder, one ordered stream per deployment, the
+  streams concurrent with each other.
 
 The report (written to ``BENCH_pr5.json`` by ``repro bench-serve`` and
 ``benchmarks/test_service_throughput.py``) records throughput,
 per-class latency quantiles, the warm/cold speedup, cache statistics,
-and the raw service counters.  Everything is seeded: same seed, same
-workload, same request mix.
+and the raw service counters; when the responses carry a shard it adds
+the spread over shards and a cache-affinity audit.  Everything is
+seeded: same seed, same workload, same request mix.
 """
 
 from __future__ import annotations
@@ -24,27 +31,32 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import io as repro_io
 from ..experiments.generators import ExperimentConfig, build_instance
 from ..net.routing import Routing, ShortestPathRouter
 from ..policy.classbench import generate_policy_set
-from .client import ServiceClient, ServiceUnavailable
+from .client import ServiceUnavailable
+from .cluster import LocalCluster, RemoteShard
 from .daemon import PlacementService, ServiceConfig
 from .protocol import (
     DeltaRequest,
     MetricsRequest,
+    Request,
     Response,
     ResponseStatus,
     SolveRequest,
 )
 
-__all__ = ["ChurnLoadgenConfig", "ClusterLoadgenConfig", "LoadgenConfig",
-           "run_churn_loadgen", "run_cluster_loadgen", "run_loadgen"]
+__all__ = ["LoadgenConfig", "run_loadgen"]
 
-#: Deployment name the generated delta traffic targets.
+#: Prefix of the deployment names the delta traffic targets.
 _DEPLOYMENT = "loadgen"
+
+#: ``handle(request, timeout=...) -> Response``: the one call the
+#: workload makes, whatever serves it.
+Handle = Callable[..., Response]
 
 
 @dataclass
@@ -56,49 +68,39 @@ class LoadgenConfig:
     unique_instances: int = 4
     #: Cache-hit repeats per instance.
     repeats: int = 4
-    #: Incremental delta operations.
+    #: Install/remove pairs per deployment.
     deltas: int = 6
     #: Concurrent client threads.
     clients: int = 4
     #: Simultaneous identical submissions in the coalescing burst.
     burst: int = 4
+    #: Named deployments receiving delta traffic (``loadgen-0``, ...);
+    #: with consistent-hash routing they land on different shards.
+    deployments: int = 1
     # Instance shape.
     k: int = 4
     num_paths: int = 8
     rules_per_policy: int = 8
     capacity: int = 60
-    # Service shape (used when no service is injected).
     backend: str = "highs"
+    # Target shape, used when neither a target nor an address is given:
+    # one service, or ``shards`` > 1 in-process shards behind a router.
     executor: str = "process"
     max_queue: int = 64
     dispatchers: int = 2
     max_workers: int = 4
+    shards: int = 1
+    vnodes: int = 64
+    ring_seed: int = 0
     request_timeout: float = 300.0
-    #: ``"host:port"`` of a running daemon.  When set, the workload is
-    #: driven over TCP through :class:`ServiceClient` -- one resilient
-    #: client per thread -- instead of an in-process service.  Requests
-    #: then ride out daemon restarts via reconnect + idempotent retry,
-    #: which is exactly what the recovery chaos tests exercise.
+    #: ``"host:port"`` of a running daemon or cluster front-end.  When
+    #: set, the workload is driven over TCP -- one resilient client per
+    #: thread -- instead of in process.  Requests then ride out daemon
+    #: restarts via reconnect + idempotent retry, which is exactly what
+    #: the recovery chaos tests exercise.
     address: Optional[str] = None
     #: Reconnect attempts per request in address mode.
     client_retries: int = 8
-
-
-@dataclass
-class ClusterLoadgenConfig(LoadgenConfig):
-    """Cluster-shaped workload: same phase mix, keyed traffic.
-
-    ``deployments`` named deployments receive the delta traffic (the
-    single-daemon workload uses one); with consistent-hash routing they
-    land on different shards and the delta phase exercises cross-shard
-    parallelism while each deployment's ops stay ordered on its home
-    shard.
-    """
-
-    shards: int = 3
-    deployments: int = 3
-    vnodes: int = 64
-    ring_seed: int = 0
 
 
 @dataclass
@@ -118,166 +120,121 @@ class _Phase:
     wall_seconds: float = 0.0
 
 
-def run_loadgen(config: Optional[LoadgenConfig] = None,
-                service: Optional[PlacementService] = None) -> Dict[str, Any]:
+def run_loadgen(config: Optional[LoadgenConfig] = None, target: Any = None,
+                disrupt: Optional[Callable[[], None]] = None
+                ) -> Dict[str, Any]:
     """Run the full workload; returns the JSON-able report.
 
-    Three targets, in precedence order: an injected ``service``, a
-    remote daemon at ``config.address``, or a fresh in-process service.
+    Targets, in precedence order: an injected ``target`` (anything with
+    ``handle(request, timeout)``; the caller owns it), a daemon at
+    ``config.address``, or a fresh in-process service -- a
+    :class:`~repro.service.cluster.LocalCluster` of ``config.shards``
+    when that is above one.
+
+    ``disrupt``, if given, is called once between the burst and delta
+    phases -- the chaos harness passes ``lambda: cluster.kill(name)``
+    to take a shard down mid-run and then asserts the report still
+    counts zero failed requests.
     """
     config = config or LoadgenConfig()
-    if service is not None:
-        return _run(config, _LocalTarget(service))
+    if target is not None:
+        return _run(config, target.handle, disrupt)
     if config.address:
         host, _, port = config.address.rpartition(":")
-        target = _RemoteTarget(host or "127.0.0.1", int(port), config)
+        remote = RemoteShard(_DEPLOYMENT, host or "127.0.0.1", int(port),
+                             timeout=config.request_timeout,
+                             retries=config.client_retries)
         try:
-            return _run(config, target)
+            report = _run(config, remote.call, disrupt)
+            report["client"] = remote.telemetry()
+            return report
         finally:
-            target.close()
-    own = PlacementService(ServiceConfig(
-        max_queue=config.max_queue,
-        dispatchers=config.dispatchers,
-        max_workers=config.max_workers,
-        executor=config.executor,
-    ))
+            remote.close()
+    if config.shards > 1:
+        own: Any = LocalCluster(shards=config.shards, vnodes=config.vnodes,
+                                seed=config.ring_seed)
+    else:
+        own = PlacementService(ServiceConfig(
+            max_queue=config.max_queue,
+            dispatchers=config.dispatchers,
+            max_workers=config.max_workers,
+            executor=config.executor,
+        ))
     try:
-        return _run(config, _LocalTarget(own))
+        return _run(config, own.handle, disrupt)
     finally:
         own.close()
 
 
-class _LocalTarget:
-    """Drive an in-process service; read its registries directly."""
-
-    remote = False
-
-    def __init__(self, service: PlacementService) -> None:
-        self.service = service
-
-    def handle(self, request, timeout: float) -> Response:
-        return self.service.handle(request, timeout=timeout)
-
-    def counter(self, name: str) -> float:
-        return self.service.metrics.counter(name).value
-
-    def cache_stats(self) -> Dict[str, Any]:
-        return self.service.cache.stats().as_dict()
-
-    def counters(self) -> Dict[str, Any]:
-        return self.service.metrics.snapshot()["counters"]
-
-    def close(self) -> None:  # the caller owns the service's lifetime
-        pass
+def _request(handle: Handle, request: Request, timeout: float) -> Response:
+    """One request; a timeout or an unreachable daemon is an ERROR
+    answer, counted as a failure, not an exception."""
+    try:
+        return handle(request, timeout=timeout)
+    except TimeoutError:
+        error = "client timeout"
+    except ServiceUnavailable as exc:
+        error = f"daemon unreachable: {exc}"
+    return Response(status=ResponseStatus.ERROR, kind=request.kind,
+                    request_id=request.request_id, error=error)
 
 
-class _RemoteTarget:
-    """Drive a daemon over TCP: one resilient client per thread."""
+def _metrics(handle: Handle) -> Tuple[Dict[str, float], Dict[str, Any]]:
+    """Counters and cache stats through the ``metrics`` verb.
 
-    remote = True
-
-    def __init__(self, host: str, port: int, config: LoadgenConfig) -> None:
-        self.host = host
-        self.port = port
-        self.config = config
-        self._local = threading.local()
-        self._clients: List[ServiceClient] = []
-        self._clients_lock = threading.Lock()
-
-    def _client(self) -> ServiceClient:
-        client = getattr(self._local, "client", None)
-        if client is None:
-            client = ServiceClient(
-                host=self.host, port=self.port,
-                timeout=self.config.request_timeout,
-                retries=self.config.client_retries)
-            self._local.client = client
-            with self._clients_lock:
-                self._clients.append(client)
-        return client
-
-    def handle(self, request, timeout: float) -> Response:
-        try:
-            return self._client().call(request, timeout=timeout)
-        except ServiceUnavailable as exc:
-            return Response(status=ResponseStatus.ERROR,
-                            kind=getattr(request, "kind", None),
-                            error=f"daemon unreachable: {exc}")
-
-    def _metrics(self) -> Dict[str, Any]:
-        try:
-            response = self._client().call(MetricsRequest(), timeout=10.0)
-        except ServiceUnavailable:
-            return {}
-        return (response.result or {}).get("metrics", {})
-
-    def counter(self, name: str) -> float:
-        return float(self.counters().get(name, 0.0))
-
-    def cache_stats(self) -> Dict[str, Any]:
-        metrics = self._metrics()
-        if "shards" in metrics:  # cluster front-end: sum over shards
-            totals: Dict[str, float] = {}
-            for snapshot in metrics["shards"].values():
-                for key, value in (snapshot.get("cache") or {}).items():
-                    if key != "hit_rate":
-                        totals[key] = totals.get(key, 0.0) + value
-            lookups = totals.get("hits", 0.0) + totals.get("misses", 0.0)
-            totals["hit_rate"] = (totals.get("hits", 0.0) / lookups
-                                  if lookups else 0.0)
-            return totals
-        return metrics.get("cache", {})
-
-    def counters(self) -> Dict[str, Any]:
-        metrics = self._metrics()
-        if "cluster" in metrics:  # cluster front-end: fleet aggregate
-            return metrics["cluster"].get("counters", {})
-        return metrics.get("counters", {})
-
-    def telemetry(self) -> Dict[str, int]:
-        with self._clients_lock:
-            totals: Dict[str, int] = {}
-            for client in self._clients:
-                for key, value in client.telemetry().items():
-                    totals[key] = totals.get(key, 0) + value
-            totals.setdefault("reconnects", 0)
-            totals.setdefault("retried_requests", 0)
-            totals.setdefault("pool_hits", 0)
-            totals["clients"] = len(self._clients)
-            return totals
-
-    def close(self) -> None:
-        with self._clients_lock:
-            for client in self._clients:
-                client.close()
-            self._clients.clear()
+    A cluster answers with fleet-wide counters (``cluster``) and one
+    snapshot per shard (``shards``), whose caches are summed here; a
+    single service answers with its own snapshot.
+    """
+    response = _request(handle, MetricsRequest(), 30.0)
+    metrics = (response.result or {}).get("metrics", {})
+    if "cluster" not in metrics:
+        return metrics.get("counters", {}), metrics.get("cache", {})
+    cache: Dict[str, float] = {}
+    for snapshot in metrics.get("shards", {}).values():
+        for key, value in (snapshot.get("cache") or {}).items():
+            if key != "hit_rate":
+                cache[key] = cache.get(key, 0.0) + value
+    lookups = cache.get("hits", 0.0) + cache.get("misses", 0.0)
+    cache["hit_rate"] = cache.get("hits", 0.0) / lookups if lookups else 0.0
+    return metrics["cluster"].get("counters", {}), cache
 
 
-def _run(config: LoadgenConfig, target) -> Dict[str, Any]:
-    instances = [
-        build_instance(ExperimentConfig(
-            k=config.k, num_paths=config.num_paths,
-            rules_per_policy=config.rules_per_policy,
-            capacity=config.capacity, seed=config.seed + index,
-        ))
-        for index in range(config.unique_instances)
-    ]
+def _solves_started(handle: Handle) -> float:
+    return float(_metrics(handle)[0].get("solves_started_total", 0.0))
+
+
+def _instance(config: LoadgenConfig, seed: int):
+    return build_instance(ExperimentConfig(
+        k=config.k, num_paths=config.num_paths,
+        rules_per_policy=config.rules_per_policy,
+        capacity=config.capacity, seed=seed,
+    ))
+
+
+def _run(config: LoadgenConfig, handle: Handle,
+         disrupt: Optional[Callable[[], None]]) -> Dict[str, Any]:
+    instances = [_instance(config, config.seed + index)
+                 for index in range(config.unique_instances)]
+    deployments = [f"{_DEPLOYMENT}-{i}" for i in range(config.deployments)]
+    timeout = config.request_timeout
     started = time.perf_counter()
     phases: List[_Phase] = []
 
     # Phase 1 -- cold solves, all distinct digests, concurrent clients.
-    # The first instance also registers the deployment the delta phase
-    # will evolve.
+    # The first ``deployments`` instances also register the deployments
+    # the delta phase will evolve (a ring spreads them over shards).
     cold_requests = [
         SolveRequest(
             instance=instance, backend=config.backend,
-            deploy_as=_DEPLOYMENT if index == 0 else None,
+            deploy_as=(deployments[index] if index < len(deployments)
+                       else None),
             request_id=f"cold-{index}",
         )
         for index, instance in enumerate(instances)
     ]
-    phases.append(_fan_out(target, "cold", cold_requests,
-                           config.clients, config.request_timeout))
+    phases.append(_fan_out(handle, "cold", cold_requests, config.clients,
+                           timeout))
 
     # Phase 2 -- warm repeats: every instance again, several times.
     # deploy_as is deliberately absent so the cache can answer.
@@ -287,35 +244,37 @@ def _run(config: LoadgenConfig, target) -> Dict[str, Any]:
         for repeat in range(config.repeats)
         for index, instance in enumerate(instances)
     ]
-    phases.append(_fan_out(target, "warm", warm_requests,
-                           config.clients, config.request_timeout))
+    phases.append(_fan_out(handle, "warm", warm_requests, config.clients,
+                           timeout))
 
     # Phase 3 -- coalescing burst: one *fresh* digest, submitted by
-    # every client at once; the broker must run exactly one solve.
-    fresh = build_instance(ExperimentConfig(
-        k=config.k, num_paths=config.num_paths,
-        rules_per_policy=config.rules_per_policy,
-        capacity=config.capacity,
-        seed=config.seed + config.unique_instances,
-    ))
-    solves_before = target.counter("solves_started_total")
+    # every client at once; the broker (of the one shard the digest
+    # routes to) must run exactly one solve.
+    fresh = _instance(config, config.seed + config.unique_instances)
+    solves_before = _solves_started(handle)
     burst_requests = [
         SolveRequest(instance=fresh, backend=config.backend,
                      request_id=f"burst-{index}")
         for index in range(config.burst)
     ]
-    phases.append(_fan_out(target, "burst", burst_requests,
-                           config.burst, config.request_timeout,
-                           simultaneous=True))
-    burst_solves = target.counter("solves_started_total") - solves_before
+    phases.append(_fan_out(handle, "burst", burst_requests, config.burst,
+                           timeout, simultaneous=True))
+    burst_solves = _solves_started(handle) - solves_before
 
-    # Phase 4 -- incremental deltas against the live deployment:
-    # install a fresh policy on a fresh port, then remove it, round-
-    # robin over the free entry ports; every op is latency-class work.
-    phases.append(_delta_phase(config, target, instances[0]))
+    if disrupt is not None:
+        disrupt()
+
+    # Phase 4 -- incremental deltas: one ordered stream per deployment,
+    # streams concurrent with each other (on a cluster they live on
+    # different shards).
+    phases.append(_drive(handle, "delta",
+                         _delta_streams(config, instances, deployments),
+                         timeout))
 
     total_wall = time.perf_counter() - started
-    return _report(config, target, phases, total_wall, burst_solves)
+    counters, cache = _metrics(handle)
+    return _report(config, phases, total_wall, burst_solves, counters,
+                   cache)
 
 
 # ---------------------------------------------------------------------------
@@ -323,43 +282,47 @@ def _run(config: LoadgenConfig, target) -> Dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 
-def _fan_out(target, tag: str, requests,
+def _fan_out(handle: Handle, tag: str, requests: List[Request],
              clients: int, timeout: float,
              simultaneous: bool = False) -> _Phase:
-    """Drive ``requests`` from ``clients`` threads; collect samples.
+    """Drive ``requests`` from ``clients`` threads sharing one work list.
 
     ``simultaneous`` holds every client at a barrier so all submissions
     hit the broker while the first is still solving (the coalescing
-    scenario); otherwise clients drain a shared work list.
+    scenario).
     """
-    phase = _Phase(tag)
     work = list(requests)
-    work_lock = threading.Lock()
-    barrier = threading.Barrier(min(clients, len(work))) if simultaneous else None
+    return _drive(handle, tag, [work] * min(clients, len(work)), timeout,
+                  simultaneous)
 
-    def client() -> None:
+
+def _drive(handle: Handle, tag: str, queues: List[List[Request]],
+           timeout: float, simultaneous: bool = False) -> _Phase:
+    """One client thread per entry of ``queues``, each popping requests
+    off its list in order (threads may share a list); collect samples."""
+    phase = _Phase(tag)
+    lock = threading.Lock()
+    barrier = threading.Barrier(len(queues)) if simultaneous else None
+
+    def client(queue: List[Request]) -> None:
         while True:
-            with work_lock:
-                if not work:
+            with lock:
+                if not queue:
                     return
-                request = work.pop(0)
+                request = queue.pop(0)
             if barrier is not None:
                 barrier.wait()
             begun = time.perf_counter()
-            try:
-                response = target.handle(request, timeout=timeout)
-            except TimeoutError:
-                response = Response(status=ResponseStatus.ERROR,
-                                    error="client timeout")
+            response = _request(handle, request, timeout)
             phase.samples.append(_Sample(
                 tag, response.status, response.served,
                 time.perf_counter() - begun,
-                shard=response.shard,
-                request_id=getattr(request, "request_id", None),
+                shard=response.shard, request_id=request.request_id,
             ))
 
-    threads = [threading.Thread(target=client, name=f"loadgen-{tag}-{i}")
-               for i in range(min(clients, len(work)))]
+    threads = [threading.Thread(target=client, args=(queue,),
+                                name=f"loadgen-{tag}-{i}")
+               for i, queue in enumerate(queues)]
     begun = time.perf_counter()
     for thread in threads:
         thread.start()
@@ -369,36 +332,42 @@ def _fan_out(target, tag: str, requests,
     return phase
 
 
-def _delta_phase(config: LoadgenConfig, target, instance) -> _Phase:
-    """install/remove/reroute ops against the registered deployment."""
-    topo = instance.topology
-    router = ShortestPathRouter(topo, seed=config.seed)
-    ports = [p.name for p in topo.entry_ports]
-    used = set(instance.policies.ingresses)
-    free = [p for p in ports if p not in used]
-    requests: List[DeltaRequest] = []
-    for index in range(config.deltas):
-        port = free[index % len(free)]
-        policy = generate_policy_set(
-            [port], rules_per_policy=max(3, config.rules_per_policy // 2),
-            seed=config.seed + 100 + index,
-        )[port]
-        egress = ports[(index + 1) % len(ports)]
-        paths = repro_io.routing_to_dict(
-            Routing([router.shortest_path(port, egress)])
-        )
-        requests.append(DeltaRequest(
-            deployment=_DEPLOYMENT, op="install", ingress=port,
-            policy=repro_io.policy_to_dict(policy), paths=paths,
-            request_id=f"delta-install-{index}",
-        ))
-        requests.append(DeltaRequest(
-            deployment=_DEPLOYMENT, op="remove", ingress=port,
-            request_id=f"delta-remove-{index}",
-        ))
-    # Deltas against one deployment serialize; a single client keeps
-    # install/remove pairs ordered (install before its remove).
-    return _fan_out(target, "delta", requests, 1, config.request_timeout)
+def _delta_streams(config: LoadgenConfig, instances,
+                   deployments: List[str]) -> List[List[DeltaRequest]]:
+    """Per deployment: install a fresh policy on a free entry port, then
+    remove it, round-robin over the free ports.  A stream stays on one
+    client, so each install lands before its remove."""
+    streams: List[List[DeltaRequest]] = []
+    for slot, deployment in enumerate(deployments):
+        instance = instances[slot % len(instances)]
+        topo = instance.topology
+        router = ShortestPathRouter(topo, seed=config.seed + slot)
+        ports = [p.name for p in topo.entry_ports]
+        used = set(instance.policies.ingresses)
+        free = [p for p in ports if p not in used]
+        stream: List[DeltaRequest] = []
+        for index in range(config.deltas):
+            port = free[index % len(free)]
+            policy = generate_policy_set(
+                [port],
+                rules_per_policy=max(3, config.rules_per_policy // 2),
+                seed=config.seed + 100 + slot * 1000 + index,
+            )[port]
+            egress = ports[(index + 1) % len(ports)]
+            paths = repro_io.routing_to_dict(
+                Routing([router.shortest_path(port, egress)])
+            )
+            stream.append(DeltaRequest(
+                deployment=deployment, op="install", ingress=port,
+                policy=repro_io.policy_to_dict(policy), paths=paths,
+                request_id=f"delta-{deployment}-install-{index}",
+            ))
+            stream.append(DeltaRequest(
+                deployment=deployment, op="remove", ingress=port,
+                request_id=f"delta-{deployment}-remove-{index}",
+            ))
+        streams.append(stream)
+    return streams
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +395,10 @@ def _quantiles(samples: List[float]) -> Dict[str, float]:
     }
 
 
-def _report(config: LoadgenConfig, target,
-            phases: List[_Phase], total_wall: float,
-            burst_solves: float) -> Dict[str, Any]:
+def _report(config: LoadgenConfig, phases: List[_Phase],
+            total_wall: float, burst_solves: float,
+            counters: Dict[str, float],
+            cache: Dict[str, Any]) -> Dict[str, Any]:
     samples = [sample for phase in phases for sample in phase.samples]
     failures = [s for s in samples if s.status in ResponseStatus.FAILURES]
     by_tag: Dict[str, List[_Sample]] = {}
@@ -465,10 +435,10 @@ def _report(config: LoadgenConfig, target,
         "coalescing": {
             "burst_size": config.burst,
             "solves_started": burst_solves,
-            "coalesced_total": target.counter("coalesced_total"),
+            "coalesced_total": float(counters.get("coalesced_total", 0.0)),
         },
-        "cache": target.cache_stats(),
-        "counters": target.counters(),
+        "cache": cache,
+        "counters": counters,
         "phases": {
             phase.name: {
                 "requests": len(phase.samples),
@@ -477,235 +447,13 @@ def _report(config: LoadgenConfig, target,
             for phase in phases
         },
     }
-    if target.remote:
-        report["client"] = target.telemetry()
+    if any(sample.shard is not None for sample in samples):
+        report["cluster"] = _cluster_summary(samples)
     return report
 
 
-# ---------------------------------------------------------------------------
-# Cluster workload
-# ---------------------------------------------------------------------------
-
-
-class _ClusterTarget:
-    """Drive an in-process :class:`~repro.service.cluster.ClusterRouter`
-    (or :class:`LocalCluster`); read fleet-wide aggregates through the
-    router's ``metrics`` verb."""
-
-    remote = False
-
-    def __init__(self, router) -> None:
-        self.router = router
-
-    def handle(self, request, timeout: float) -> Response:
-        return self.router.handle(request, timeout=timeout)
-
-    def _metrics(self) -> Dict[str, Any]:
-        response = self.router.handle(MetricsRequest(), timeout=30.0)
-        return (response.result or {}).get("metrics", {})
-
-    def counter(self, name: str) -> float:
-        return float(
-            self._metrics().get("cluster", {})
-            .get("counters", {}).get(name, 0.0))
-
-    def cache_stats(self) -> Dict[str, Any]:
-        totals: Dict[str, float] = {}
-        for snapshot in self._metrics().get("shards", {}).values():
-            for key, value in (snapshot.get("cache") or {}).items():
-                if key == "hit_rate":
-                    continue
-                totals[key] = totals.get(key, 0.0) + value
-        lookups = totals.get("hits", 0.0) + totals.get("misses", 0.0)
-        totals["hit_rate"] = (totals.get("hits", 0.0) / lookups
-                              if lookups else 0.0)
-        return totals
-
-    def counters(self) -> Dict[str, Any]:
-        return self._metrics().get("cluster", {}).get("counters", {})
-
-    def close(self) -> None:  # caller owns the cluster's lifetime
-        pass
-
-
-def run_cluster_loadgen(config: Optional[ClusterLoadgenConfig] = None,
-                        cluster=None,
-                        disrupt=None) -> Dict[str, Any]:
-    """Replay the keyed mixed workload against a shard cluster.
-
-    Targets, in precedence order: an injected ``cluster`` (a
-    :class:`~repro.service.cluster.LocalCluster` or anything with
-    ``handle(request, timeout)``), a remote cluster front-end at
-    ``config.address``, or a fresh in-process
-    :class:`~repro.service.cluster.LocalCluster` of ``config.shards``.
-
-    ``disrupt``, if given, is called once between the warm and delta
-    phases -- the chaos harness passes ``lambda: cluster.kill(name)``
-    to take a shard down mid-run and then asserts the report still
-    counts zero failed requests.
-
-    Beyond the single-daemon report, the result carries a ``cluster``
-    section: how requests spread over shards, and whether repeat solves
-    of one digest kept hitting one shard (cache affinity).
-    """
-    config = config or ClusterLoadgenConfig()
-    if cluster is not None:
-        return _run_cluster(config, _ClusterTarget(cluster), disrupt)
-    if config.address:
-        host, _, port = config.address.rpartition(":")
-        target = _RemoteTarget(host or "127.0.0.1", int(port), config)
-        try:
-            return _run_cluster(config, target, disrupt)
-        finally:
-            target.close()
-    from .cluster import LocalCluster
-
-    own = LocalCluster(shards=config.shards, vnodes=config.vnodes,
-                       seed=config.ring_seed)
-    try:
-        return _run_cluster(config, _ClusterTarget(own), disrupt)
-    finally:
-        own.close()
-
-
-def _run_cluster(config: ClusterLoadgenConfig, target,
-                 disrupt=None) -> Dict[str, Any]:
-    instances = [
-        build_instance(ExperimentConfig(
-            k=config.k, num_paths=config.num_paths,
-            rules_per_policy=config.rules_per_policy,
-            capacity=config.capacity, seed=config.seed + index,
-        ))
-        for index in range(config.unique_instances)
-    ]
-    deployments = [f"{_DEPLOYMENT}-{i}" for i in range(config.deployments)]
-    started = time.perf_counter()
-    phases: List[_Phase] = []
-
-    # Phase 1 -- cold solves; the first ``deployments`` instances also
-    # register the named deployments the delta phase will evolve, which
-    # the ring spreads over shards by name.
-    cold_requests = [
-        SolveRequest(
-            instance=instance, backend=config.backend,
-            deploy_as=(deployments[index] if index < len(deployments)
-                       else None),
-            request_id=f"cold-{index}",
-        )
-        for index, instance in enumerate(instances)
-    ]
-    phases.append(_fan_out(target, "cold", cold_requests,
-                           config.clients, config.request_timeout))
-
-    # Phase 2 -- warm repeats: every digest must keep landing on the
-    # shard whose result cache holds it.
-    warm_requests = [
-        SolveRequest(instance=instance, backend=config.backend,
-                     request_id=f"warm-{index}-{repeat}")
-        for repeat in range(config.repeats)
-        for index, instance in enumerate(instances)
-    ]
-    phases.append(_fan_out(target, "warm", warm_requests,
-                           config.clients, config.request_timeout))
-
-    # Phase 3 -- coalescing burst against one shard (one fresh digest
-    # routes to one shard; its broker must still coalesce).
-    fresh = build_instance(ExperimentConfig(
-        k=config.k, num_paths=config.num_paths,
-        rules_per_policy=config.rules_per_policy,
-        capacity=config.capacity,
-        seed=config.seed + config.unique_instances,
-    ))
-    solves_before = target.counter("solves_started_total")
-    burst_requests = [
-        SolveRequest(instance=fresh, backend=config.backend,
-                     request_id=f"burst-{index}")
-        for index in range(config.burst)
-    ]
-    phases.append(_fan_out(target, "burst", burst_requests,
-                           config.burst, config.request_timeout,
-                           simultaneous=True))
-    burst_solves = target.counter("solves_started_total") - solves_before
-
-    if disrupt is not None:
-        disrupt()
-
-    # Phase 4 -- deltas: one ordered stream per deployment, streams
-    # concurrent with each other (they live on different shards).
-    phases.append(_cluster_delta_phase(config, target, instances,
-                                       deployments))
-
-    total_wall = time.perf_counter() - started
-    report = _report(config, target, phases, total_wall, burst_solves)
-    report["cluster"] = _cluster_summary(phases)
-    return report
-
-
-def _cluster_delta_phase(config: ClusterLoadgenConfig, target,
-                         instances, deployments: List[str]) -> _Phase:
-    """install/remove streams, one serialized client per deployment."""
-    phase = _Phase("delta")
-    streams: List[List[DeltaRequest]] = []
-    for slot, deployment in enumerate(deployments):
-        instance = instances[slot % len(instances)]
-        topo = instance.topology
-        router = ShortestPathRouter(topo, seed=config.seed + slot)
-        ports = [p.name for p in topo.entry_ports]
-        used = set(instance.policies.ingresses)
-        free = [p for p in ports if p not in used]
-        stream: List[DeltaRequest] = []
-        for index in range(config.deltas):
-            port = free[index % len(free)]
-            policy = generate_policy_set(
-                [port],
-                rules_per_policy=max(3, config.rules_per_policy // 2),
-                seed=config.seed + 100 + slot * 1000 + index,
-            )[port]
-            egress = ports[(index + 1) % len(ports)]
-            paths = repro_io.routing_to_dict(
-                Routing([router.shortest_path(port, egress)])
-            )
-            stream.append(DeltaRequest(
-                deployment=deployment, op="install", ingress=port,
-                policy=repro_io.policy_to_dict(policy), paths=paths,
-                request_id=f"delta-{deployment}-install-{index}",
-            ))
-            stream.append(DeltaRequest(
-                deployment=deployment, op="remove", ingress=port,
-                request_id=f"delta-{deployment}-remove-{index}",
-            ))
-        streams.append(stream)
-
-    def worker(stream: List[DeltaRequest]) -> None:
-        for request in stream:
-            begun = time.perf_counter()
-            try:
-                response = target.handle(request,
-                                         timeout=config.request_timeout)
-            except TimeoutError:
-                response = Response(status=ResponseStatus.ERROR,
-                                    error="client timeout")
-            phase.samples.append(_Sample(
-                "delta", response.status, response.served,
-                time.perf_counter() - begun,
-                shard=response.shard, request_id=request.request_id,
-            ))
-
-    threads = [threading.Thread(target=worker, args=(stream,),
-                                name=f"loadgen-delta-{i}")
-               for i, stream in enumerate(streams)]
-    begun = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    phase.wall_seconds = time.perf_counter() - begun
-    return phase
-
-
-def _cluster_summary(phases: List[_Phase]) -> Dict[str, Any]:
-    """Shard spread and cache-affinity audit over the phase samples."""
-    samples = [s for phase in phases for s in phase.samples]
+def _cluster_summary(samples: List[_Sample]) -> Dict[str, Any]:
+    """Shard spread and cache-affinity audit over the samples."""
     by_shard: Dict[str, int] = {}
     for sample in samples:
         if sample.shard is not None:
@@ -739,145 +487,4 @@ def _cluster_summary(phases: List[_Phase]) -> Dict[str, Any]:
         },
         "delta_homes": {name: sorted(shards)
                         for name, shards in sorted(delta_homes.items())},
-    }
-
-
-# ---------------------------------------------------------------------------
-# Churn workload (traffic-driven rule caching)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ChurnLoadgenConfig:
-    """The continuous-churn workload: a cache controller as the client.
-
-    Unlike the phase-mix workloads above, churn is *sustained*: one
-    deployment, a live packet stream, and a steady trickle of
-    install/modify/remove deltas as the controller chases traffic
-    popularity.  ``seeds`` runs make independent loops (distinct
-    deployments) against the same service, so journal, sessions, and
-    metrics absorb the aggregate stream.
-    """
-
-    seed: int = 0
-    #: Independent churn loops (seed, seed+1, ...).
-    seeds: int = 1
-    #: Traffic ticks per loop.
-    ticks: int = 96
-    # Instance / cache shape (passed through to ChurnConfig).
-    k: int = 4
-    num_paths: int = 8
-    rules_per_policy: int = 24
-    capacity: int = 48
-    budget: int = 12
-    strategy: str = "popularity"
-    # Service shape (used when no service is injected).
-    executor: str = "inline"
-    max_workers: int = 2
-    dispatchers: int = 1
-    request_timeout: float = 300.0
-    #: ``"host:port"`` of a running daemon (drives churn over TCP).
-    address: Optional[str] = None
-    client_retries: int = 8
-
-
-def run_churn_loadgen(config: Optional[ChurnLoadgenConfig] = None,
-                      service: Optional[PlacementService] = None
-                      ) -> Dict[str, Any]:
-    """Run churn loop(s) against a service; returns the JSON report.
-
-    Publishes the cache-health gauges on the service's metrics registry
-    (in-process targets): ``churn_cache_hit_rate``,
-    ``churn_tcam_occupancy``, plus ``churn_promotions_total`` /
-    ``churn_evictions_total`` / ``churn_deltas_total`` /
-    ``churn_rounds_total`` counters -- the signals an operator watches
-    to see whether the cache is keeping up with the traffic.
-    """
-    from ..traffic.harness import ChurnConfig, run_churn
-
-    config = config or ChurnLoadgenConfig()
-    own: Optional[PlacementService] = None
-    client: Optional[ServiceClient] = None
-    if service is None and not config.address:
-        own = PlacementService(ServiceConfig(
-            executor=config.executor,
-            max_workers=config.max_workers,
-            dispatchers=config.dispatchers,
-        ))
-        service = own
-    if service is not None:
-        target = service
-    else:
-        host, _, port = config.address.rpartition(":")
-        client = ServiceClient(host=host or "127.0.0.1", port=int(port),
-                               timeout=config.request_timeout,
-                               retries=config.client_retries)
-
-        class _ClientHandle:
-            def handle(self, request, timeout: float) -> Response:
-                return client.call(request, timeout=timeout)
-
-        target = _ClientHandle()
-
-    started = time.perf_counter()
-    runs: List[Dict[str, Any]] = []
-    try:
-        for index in range(config.seeds):
-            churn = ChurnConfig(
-                seed=config.seed + index, ticks=config.ticks,
-                k=config.k, num_paths=config.num_paths,
-                rules_per_policy=config.rules_per_policy,
-                capacity=config.capacity, budget=config.budget,
-                strategy=config.strategy,
-            )
-            report = run_churn(churn, service=target)
-            runs.append(report)
-            if service is not None and hasattr(service, "metrics"):
-                metrics = service.metrics
-                metrics.gauge(
-                    "churn_cache_hit_rate",
-                    "dataplane hit-rate of the latest churn loop",
-                ).set(report["hit_rate"])
-                metrics.gauge(
-                    "churn_tcam_occupancy",
-                    "cached rules deployed by the latest churn loop",
-                ).set(report["cached_rules"])
-                metrics.counter(
-                    "churn_promotions_total",
-                    "rules promoted into the cache",
-                ).inc(report["promotions"])
-                metrics.counter(
-                    "churn_evictions_total",
-                    "rules evicted from the cache",
-                ).inc(report["evictions"])
-                metrics.counter(
-                    "churn_deltas_total",
-                    "cache deltas issued through the delta path",
-                ).inc(report["deltas"])
-                metrics.counter(
-                    "churn_rounds_total",
-                    "controller rounds executed",
-                ).inc(report["rounds"])
-    finally:
-        if client is not None:
-            client.close()
-        if own is not None:
-            own.close()
-
-    wall = time.perf_counter() - started
-    violations = sum(r["verdict_violations"] + r["closure_violations"]
-                     for r in runs)
-    return {
-        "config": asdict(config),
-        "runs": len(runs),
-        "wall_seconds": wall,
-        "mean_hit_rate": (sum(r["hit_rate"] for r in runs) / len(runs)
-                          if runs else 0.0),
-        "total_violations": violations,
-        "digest_mismatches": sum(r.get("digest_mismatches", 0)
-                                 for r in runs),
-        "deltas": sum(r["deltas"] for r in runs),
-        "promotions": sum(r["promotions"] for r in runs),
-        "evictions": sum(r["evictions"] for r in runs),
-        "reports": runs,
     }

@@ -58,6 +58,7 @@ __all__ = [
     "SolveRequest",
     "VerifyRequest",
     "decode_request",
+    "decode_request_or_error",
     "decode_response",
     "encode_request",
     "encode_response",
@@ -521,6 +522,28 @@ def decode_request(line: str) -> Request:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"malformed {kind} request: {exc}") from None
+
+
+def decode_request_or_error(
+        line: str) -> Tuple[Optional[Request], Optional[str]]:
+    """Decode one request line, or answer it BAD_REQUEST.
+
+    Returns ``(request, None)``, or ``(None, answer)`` with the
+    BAD_REQUEST response already encoded; the answer echoes the line's
+    ``request_id`` when it has one.  Both NDJSON transports (TCP and
+    stdio) parse through here.
+    """
+    try:
+        return decode_request(line), None
+    except ProtocolError as exc:
+        request_id = None
+        try:
+            request_id = json.loads(line).get("request_id")
+        except (json.JSONDecodeError, AttributeError):
+            pass
+        return None, encode_response(Response(
+            status=ResponseStatus.BAD_REQUEST,
+            request_id=request_id, error=str(exc)))
 
 
 def encode_response(response: Response) -> str:

@@ -24,16 +24,16 @@ import sys
 import pytest
 
 from repro.service import (
-    ClusterLoadgenConfig,
+    LoadgenConfig,
     LocalCluster,
     ServiceClient,
-    run_cluster_loadgen,
+    run_loadgen,
 )
 
 _QUICK = os.environ.get("REPRO_CLUSTER_QUICK") == "1"
 
 
-def _workload(**overrides) -> ClusterLoadgenConfig:
+def _workload(**overrides) -> LoadgenConfig:
     base = dict(
         seed=7, shards=3, deployments=3,
         unique_instances=3 if _QUICK else 4,
@@ -45,7 +45,7 @@ def _workload(**overrides) -> ClusterLoadgenConfig:
         executor="inline", request_timeout=120.0,
     )
     base.update(overrides)
-    return ClusterLoadgenConfig(**base)
+    return LoadgenConfig(**base)
 
 
 class TestShardDeathMidRun:
@@ -58,8 +58,8 @@ class TestShardDeathMidRun:
                           probe_interval=0.1) as cluster:
             victim = cluster.router.ring.route("loadgen-0")
 
-            report = run_cluster_loadgen(
-                config, cluster=cluster,
+            report = run_loadgen(
+                config, target=cluster,
                 disrupt=lambda: cluster.kill(victim))
 
         assert report["totals"]["failures"] == 0, (
@@ -80,7 +80,7 @@ class TestShardDeathMidRun:
         assert failovers >= 1
 
     def test_clean_run_has_affinity_and_spread(self):
-        report = run_cluster_loadgen(_workload())
+        report = run_loadgen(_workload())
         assert report["totals"]["failures"] == 0
         summary = report["cluster"]
         assert summary["shards_hit"] >= 2
@@ -145,7 +145,7 @@ class TestClusterEndToEnd:
 
             config = _workload(address=f"127.0.0.1:{port}",
                                client_retries=4)
-            report = run_cluster_loadgen(config)
+            report = run_loadgen(config)
             assert report["totals"]["failures"] == 0, (
                 report["totals"]["failure_statuses"])
             assert report["cluster"]["shards_hit"] >= 2

@@ -17,12 +17,12 @@ from repro.net.routing import Routing, ShortestPathRouter
 from repro.policy.classbench import generate_policy_set
 from repro import io as repro_io
 from repro.service import (
+    AsyncFrontend,
     ClusterRouter,
     LocalCluster,
     PlacementService,
     RemoteShard,
     ServiceConfig,
-    ServiceServer,
 )
 from repro.service.protocol import (
     DeltaRequest,
@@ -236,7 +236,7 @@ class TestRemoteShards:
         services = [PlacementService(ServiceConfig(
             executor="inline", dispatchers=1, max_workers=1,
             supervise=False)) for _ in range(2)]
-        servers = [ServiceServer(svc) for svc in services]
+        servers = [AsyncFrontend(svc) for svc in services]
         for server in servers:
             server.start()
         shards = [RemoteShard(f"tcp-{i}", "127.0.0.1", server.port)
@@ -258,3 +258,5 @@ class TestRemoteShards:
                 shard.close()
             for server in servers:
                 server.shutdown(drain=False)
+            for svc in services:
+                svc.close()

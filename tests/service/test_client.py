@@ -6,14 +6,16 @@ Two promises under test, and their interaction:
   reconnecting and retrying with the same ``request_id`` -- a commit
   acked after a retry is the *original* commit, replayed, never a
   double-apply;
-* ``ServiceServer.shutdown(drain=True)`` acks every admitted commit
-  before the process exits, and every one of those acks is durable:
-  no acked-but-lost commits across the restart.
+* a drain -- ``AsyncFrontend.shutdown(drain=True)``, then the service
+  drains and closes, as ``repro serve`` does on SIGTERM -- answers
+  every request the front-end has read, and every ack it sends is
+  durable: no acked-but-lost commits across the restart.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -22,10 +24,10 @@ from repro.experiments.generators import ExperimentConfig, build_instance
 from repro.net.routing import Routing, ShortestPathRouter
 from repro.policy.classbench import generate_policy_set
 from repro.service import (
+    AsyncFrontend,
     PlacementService,
     ServiceClient,
     ServiceConfig,
-    ServiceServer,
     ServiceUnavailable,
 )
 from repro.service.protocol import (
@@ -73,6 +75,13 @@ def _reroutes(instance, free, count, start=0):
     return requests
 
 
+def _stop(frontend, service, drain: bool) -> None:
+    """Stop a daemon the way ``repro serve`` does: front-end first,
+    then the service it fronts."""
+    frontend.shutdown(drain=drain, drain_timeout=30.0)
+    service.close(drain=drain, drain_timeout=30.0)
+
+
 @pytest.fixture
 def served(instance, tmp_path):
     """A journaled daemon on TCP with ``prod`` deployed."""
@@ -82,10 +91,10 @@ def served(instance, tmp_path):
     solved = service.handle(SolveRequest(instance, deploy_as="prod"),
                             timeout=120.0)
     assert solved.ok
-    server = ServiceServer(service)
+    server = AsyncFrontend(service)
     server.start()
     yield server, service, str(tmp_path / "wal")
-    server.shutdown(drain=False)
+    _stop(server, service, drain=False)
 
 
 class TestClientBasics:
@@ -150,13 +159,13 @@ class TestReconnectAndReplay:
         first = client.call(request, timeout=60.0)
         assert first.ok
 
-        server.shutdown(drain=True)  # daemon gone; acked state durable
+        _stop(server, service, drain=True)  # gone; acked state durable
 
         revived = PlacementService(ServiceConfig(
             executor="inline", journal_dir=journal_dir,
             durability="flush", supervise=False))
         assert revived.last_recovery["deployments"] == 1
-        replacement = ServiceServer(revived, port=port)
+        replacement = AsyncFrontend(revived, port=port)
         replacement.start()
         try:
             again = client.call(request, timeout=60.0)
@@ -166,7 +175,7 @@ class TestReconnectAndReplay:
                 == first.result["state_digest"]
         finally:
             client.close()
-            replacement.shutdown(drain=False)
+            _stop(replacement, revived, drain=False)
 
 
 class TestDrain:
@@ -208,10 +217,18 @@ class TestDrain:
 
         threads = [threading.Thread(target=fire, args=(request,))
                    for request in requests]
+        admitted = service.metrics.counter("requests_delta_total")
+        before = admitted.value
         for thread in threads[:4]:
             thread.start()
+        # Drain once the broker has one of the first four commits: the
+        # front-end closes connections it has not read from, so a
+        # drain that wins every race acks nothing.
+        deadline = time.monotonic() + 60.0
+        while admitted.value == before and time.monotonic() < deadline:
+            time.sleep(0.001)
         drainer = threading.Thread(
-            target=lambda: server.shutdown(drain=True, drain_timeout=30.0))
+            target=lambda: _stop(server, service, drain=True))
         drainer.start()
         for thread in threads[4:]:
             thread.start()

@@ -1,11 +1,10 @@
 """The asyncio NDJSON front-end and prompt server shutdown.
 
-The front-end's contract: wire-compatible with the threaded server
-(same protocol, same BAD_REQUEST behavior on malformed lines), able to
-hold many *idle* connections cheaply, and loop-native shutdown that
-completes promptly whether or not a client ever connected.  The last
-property is also re-tested for the threaded server, whose accept loop
-now wakes through a self-pipe instead of polling.
+The front-end's contract: the NDJSON protocol (one answer per line,
+BAD_REQUEST on a malformed line without dropping the connection), many
+*idle* connections held cheaply, and loop-native shutdown that completes
+promptly whether or not a client ever connected, and that leaves no
+client waiting: each gets its answer or EOF.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from repro.service import (
     PlacementService,
     ServiceClient,
     ServiceConfig,
-    ServiceServer,
 )
 from repro.service.protocol import PingRequest, SolveRequest
 
@@ -184,30 +182,102 @@ class TestShutdown:
         thread.join(timeout=30.0)
         assert responses and responses[0].ok
 
-    def test_threaded_server_prompt_shutdown_regression(self, service):
-        """The threaded accept loop historically waited out its poll
-        interval (or needed a connect-to-self nudge) when shut down
-        with no clients; the self-pipe wakeup must make it prompt."""
-        server = ServiceServer(service)
-        server.start()
-        time.sleep(0.05)  # let serve_forever enter its select loop
-        begun = time.perf_counter()
-        server.shutdown(drain=True)
-        assert time.perf_counter() - begun < 2.0
+    def test_no_client_stranded_by_shutdown(self, service):
+        """Clients connecting while ``shutdown(drain=True)`` runs get an
+        answer or EOF, never silence.  A socket accepted in the same
+        loop step as the stop used to stay open, its request unread,
+        until a cyclic garbage collection, so its client waited out its
+        own timeout."""
+        stranded: list = []
+        for _ in range(30):
+            fe = AsyncFrontend(service)
+            fe.start()
+            clients = [threading.Thread(target=_ping_or_eof,
+                                        args=(fe.address, stranded))
+                       for _ in range(4)]
+            for client in clients:
+                client.start()
+            fe.shutdown(drain=True)
+            for client in clients:
+                client.join(timeout=10.0)
+                assert not client.is_alive()
+        assert not stranded, f"{len(stranded)} client(s) got no answer"
 
-    def test_threaded_server_shutdown_before_serve(self):
-        """A shutdown that wins the race with serve_forever must stick:
-        the serve loop may not start serving afterwards."""
-        svc = PlacementService(ServiceConfig(
-            executor="inline", dispatchers=1, max_workers=1,
-            supervise=False))
-        server = ServiceServer(svc)
-        server.shutdown(drain=False)  # before start()
-        thread = threading.Thread(target=server.serve_forever,
-                                  daemon=True)
-        thread.start()
-        thread.join(timeout=2.0)
-        assert not thread.is_alive()
+    def test_every_request_read_during_a_drain_is_answered(self, service):
+        """Clients keep pinging on open connections while
+        ``shutdown(drain=True)`` runs: every request the backend got is
+        answered.  The drain used to wait only until nothing was in
+        flight, then cut connections that had read one more request in
+        the meantime -- a commit could be applied and its answer lost."""
+        for _ in range(20):
+            backend = _Counting(service)
+            fe = AsyncFrontend(backend)
+            fe.start()
+            answers: list = []
+            clients = [threading.Thread(target=_ping_until_closed,
+                                        args=(fe.address, answers))
+                       for _ in range(8)]
+            for client in clients:
+                client.start()
+            deadline = time.monotonic() + 10.0
+            while len(answers) < 40 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            fe.shutdown(drain=True)
+            for client in clients:
+                client.join(timeout=10.0)
+                assert not client.is_alive()
+            assert backend.submitted == len(answers)
+
+    def test_port_is_the_bound_port(self, service):
+        fe = AsyncFrontend(service, port=0)
+        assert fe.port == 0
+        fe.start()
+        try:
+            assert fe.port == fe.address[1] != 0
+            with ServiceClient(port=fe.port, retries=0) as client:
+                assert client.ping().ok
+        finally:
+            fe.shutdown()
+
+
+class _Counting:
+    """A backend that counts the requests it is handed."""
+
+    def __init__(self, service) -> None:
+        self.service = service
+        self.submitted = 0
+
+    def submit(self, request):
+        self.submitted += 1  # only ever called on the event loop
+        return self.service.submit(request)
+
+
+def _ping_until_closed(address, answers: list) -> None:
+    """Ping in a loop on one connection until the server closes it."""
+    try:
+        with socket.create_connection(address, timeout=10.0) as conn:
+            reader = conn.makefile("rb")
+            while True:
+                conn.sendall(b'{"kind":"ping"}\n')
+                if not reader.readline():
+                    return
+                answers.append(1)
+    except OSError:
+        pass
+
+
+def _ping_or_eof(address, stranded: list) -> None:
+    """One ping on a fresh connection.  An answer, EOF, a refused or a
+    reset connection all end it; only silence past the timeout is a
+    stranded client."""
+    try:
+        with socket.create_connection(address, timeout=3.0) as conn:
+            conn.sendall(b'{"kind":"ping"}\n')
+            conn.recv(1)
+    except socket.timeout:
+        stranded.append(address)
+    except OSError:
+        pass
 
 
 class TestBackendMetrics:

@@ -4,6 +4,7 @@ isolation with real forked workers."""
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import socket
@@ -16,10 +17,11 @@ from repro.experiments.generators import ExperimentConfig, build_instance
 from repro.net.routing import Routing, ShortestPathRouter
 from repro.policy.classbench import generate_policy_set
 from repro.service import (
+    AsyncFrontend,
     PlacementService,
     ServiceConfig,
-    ServiceServer,
 )
+from repro.service.daemon import serve_stdio
 from repro.service.protocol import (
     DeltaRequest,
     InvalidateRequest,
@@ -141,13 +143,28 @@ class TestWire:
         assert response.status == ResponseStatus.BAD_REQUEST
         assert response.request_id == "x9"
 
+    def test_serve_stdio(self, service):
+        """``repro serve --stdio``: one answer line per request line, a
+        malformed line answered BAD_REQUEST with its request_id, and a
+        blank line skipped."""
+        stdin = io.StringIO('{"kind":"ping","request_id":"s1"}\n'
+                            '\n'
+                            '{"kind":"nope","request_id":"s2"}\n')
+        stdout = io.StringIO()
+        assert serve_stdio(service, stdin, stdout) == 0
+        answers = [decode_response(line)
+                   for line in stdout.getvalue().splitlines()]
+        assert [answer.request_id for answer in answers] == ["s1", "s2"]
+        assert answers[0].ok and answers[0].result["pong"] is True
+        assert answers[1].status == ResponseStatus.BAD_REQUEST
+
     def test_tcp_server_roundtrip(self, instance):
         with PlacementService(ServiceConfig(executor="inline")) as svc:
-            server = ServiceServer(svc, port=0)
-            server.start()
+            frontend = AsyncFrontend(svc, port=0)
+            frontend.start()
             try:
                 with socket.create_connection(
-                        ("127.0.0.1", server.port), timeout=10.0) as conn:
+                        ("127.0.0.1", frontend.port), timeout=10.0) as conn:
                     reader = conn.makefile("r", encoding="utf-8")
                     for request in (PingRequest(request_id="a"),
                                     SolveRequest(instance, request_id="b"),
@@ -158,7 +175,7 @@ class TestWire:
                     cold = decode_response(reader.readline())
                     warm = decode_response(reader.readline())
             finally:
-                server.shutdown()
+                frontend.shutdown()
         assert ping.ok and ping.request_id == "a"
         assert cold.ok and cold.served == "solved"
         assert warm.ok and warm.served == "cache"

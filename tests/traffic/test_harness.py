@@ -1,9 +1,7 @@
-"""End-to-end churn harness tests: the closed loop, the oracles, the
-service delta path, and the loadgen gauges."""
+"""End-to-end churn harness tests: the closed loop, the oracles, and
+the service delta path."""
 
 from __future__ import annotations
-
-import pytest
 
 from repro.traffic import ChurnConfig, run_churn, run_churn_matrix
 
@@ -93,30 +91,3 @@ class TestServiceParity:
                     == report["state_digest"])
         finally:
             recovered.close()
-
-
-class TestChurnLoadgen:
-    def test_gauges_and_counters_published(self):
-        from repro.service.daemon import PlacementService, ServiceConfig
-        from repro.service.loadgen import (ChurnLoadgenConfig,
-                                           run_churn_loadgen)
-
-        service = PlacementService(ServiceConfig(
-            executor="inline", max_workers=2, dispatchers=1))
-        try:
-            report = run_churn_loadgen(
-                ChurnLoadgenConfig(ticks=24, seeds=2,
-                                   rules_per_policy=16, num_paths=6),
-                service=service)
-            assert report["runs"] == 2
-            assert report["total_violations"] == 0
-            assert report["digest_mismatches"] == 0
-            metrics = service.metrics
-            assert (metrics.gauge("churn_cache_hit_rate").value
-                    == pytest.approx(report["reports"][-1]["hit_rate"]))
-            assert metrics.gauge("churn_tcam_occupancy").value > 0
-            assert (metrics.counter("churn_deltas_total").value
-                    == report["deltas"])
-            assert metrics.counter("churn_rounds_total").value > 0
-        finally:
-            service.close()
