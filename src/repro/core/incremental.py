@@ -214,6 +214,10 @@ class IncrementalDeployer:
         """
         if policy.ingress in self._state:
             raise ValueError(f"policy for {policy.ingress!r} already deployed")
+        # Greedy never intersects a PERMIT-only policy with its flows,
+        # so a flow of the wrong width would otherwise commit and break
+        # every later as_placement (journal compaction included).
+        policy.check_flows(paths)
         started = time.perf_counter()
         # One dependency analysis serves the greedy stage and the
         # sub-solver; with an attached session it comes from the pinned

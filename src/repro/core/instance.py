@@ -52,6 +52,7 @@ class PlacementInstance:
                         raise ValueError(
                             f"path for {policy.ingress!r} uses unknown switch {switch!r}"
                         )
+            policy.check_flows(paths)
         for name in self.capacities:
             if not self.topology.has_switch(name):
                 raise ValueError(f"capacity given for unknown switch {name!r}")

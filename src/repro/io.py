@@ -28,7 +28,7 @@ __all__ = [
     "topology_to_dict", "topology_from_dict",
     "policy_to_dict", "policy_from_dict",
     "policies_to_dict", "policies_from_dict",
-    "routing_to_dict", "routing_from_dict",
+    "routing_to_dict", "routing_from_dict", "paths_from_dict",
     "instance_to_dict", "instance_from_dict",
     "placement_to_dict", "placement_from_dict",
     "save_instance", "load_instance",
@@ -36,6 +36,22 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+
+
+def _expect(data: Any, kind: type, what: str) -> Any:
+    """``data`` unchanged if it is a ``kind`` (dict: JSON object, list:
+    JSON array); else a ValueError.
+
+    Decoded JSON of the wrong type would otherwise fail deep inside a
+    decoder with an AttributeError, which callers do not map to a bad
+    request, or be misread: a list of characters iterates like a string.
+    """
+    if not isinstance(data, kind):
+        name = "object" if kind is dict else "array"
+        raise ValueError(
+            f"{what} must be a JSON {name}, got {type(data).__name__}"
+        )
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +72,7 @@ def topology_to_dict(topo: Topology) -> Dict[str, Any]:
 
 
 def topology_from_dict(data: Dict[str, Any]) -> Topology:
+    _expect(data, dict, "topology")
     topo = Topology()
     for spec in data["switches"]:
         topo.add_switch(spec["name"], spec["capacity"], spec.get("layer", ""))
@@ -80,10 +97,16 @@ def _rule_to_dict(rule: Rule) -> Dict[str, Any]:
 
 
 def _rule_from_dict(data: Dict[str, Any]) -> Rule:
+    _expect(data, dict, "rule")
+    priority = data["priority"]
+    if not isinstance(priority, int) or isinstance(priority, bool):
+        raise ValueError(
+            f"rule priority must be an integer, got {priority!r}"
+        )
     return Rule(
         TernaryMatch.from_string(data["match"]),
         Action(data["action"]),
-        data["priority"],
+        priority,
         data.get("name", ""),
     )
 
@@ -97,9 +120,10 @@ def policy_to_dict(policy: Policy) -> Dict[str, Any]:
 
 
 def policy_from_dict(data: Dict[str, Any]) -> Policy:
+    _expect(data, dict, "policy")
     return Policy(
         data["ingress"],
-        [_rule_from_dict(r) for r in data["rules"]],
+        [_rule_from_dict(r) for r in _expect(data["rules"], list, "rules")],
         Action(data.get("default_action", "permit")),
     )
 
@@ -109,7 +133,9 @@ def policies_to_dict(policies: PolicySet) -> List[Dict[str, Any]]:
 
 
 def policies_from_dict(data: List[Dict[str, Any]]) -> PolicySet:
-    return PolicySet([policy_from_dict(p) for p in data])
+    return PolicySet([
+        policy_from_dict(p) for p in _expect(data, list, "policies")
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -128,15 +154,22 @@ def routing_to_dict(routing: Routing) -> List[Dict[str, Any]]:
     ]
 
 
-def routing_from_dict(data: List[Dict[str, Any]]) -> Routing:
-    routing = Routing()
-    for spec in data:
+def paths_from_dict(data: List[Dict[str, Any]]) -> List[Path]:
+    """Decode path specs: the ``routing`` of an instance, or the
+    ``paths`` of an install or reroute delta."""
+    paths = []
+    for spec in _expect(data, list, "paths"):
+        _expect(spec, dict, "path")
         flow = spec.get("flow")
-        routing.add_path(Path(
+        paths.append(Path(
             spec["ingress"], spec["egress"], tuple(spec["switches"]),
             None if flow is None else TernaryMatch.from_string(flow),
         ))
-    return routing
+    return paths
+
+
+def routing_from_dict(data: List[Dict[str, Any]]) -> Routing:
+    return Routing(paths_from_dict(data))
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +187,7 @@ def instance_to_dict(instance: PlacementInstance) -> Dict[str, Any]:
 
 
 def instance_from_dict(data: Dict[str, Any]) -> PlacementInstance:
+    _expect(data, dict, "instance")
     version = data.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {version}")
@@ -191,6 +225,7 @@ def placement_to_dict(placement: Placement) -> Dict[str, Any]:
 
 def placement_from_dict(data: Dict[str, Any],
                         instance: PlacementInstance) -> Placement:
+    _expect(data, dict, "placement")
     version = data.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {version}")

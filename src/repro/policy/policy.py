@@ -12,11 +12,16 @@ unmatched traffic is forwarded).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple,
+)
 
 from ..digest import canonical_digest
 from .rule import Action, Rule
 from .ternary import RegionSet, TernaryMatch
+
+if TYPE_CHECKING:
+    from ..net.routing import Path
 
 __all__ = ["Policy", "PolicySet"]
 
@@ -42,6 +47,8 @@ class Policy:
 
     def __post_init__(self) -> None:
         self._validate_priorities()
+        for rule in self.rules:
+            self.check_width(rule.match, f"rule t={rule.priority}")
         #: Memoized :meth:`content_digest`; rules are frozen, so the
         #: digest only changes through :meth:`add_rule` /
         #: :meth:`remove_rule`, which reset this to ``None``.
@@ -56,6 +63,23 @@ class Policy:
                     f"{seen[rule.priority]} vs {rule}"
                 )
             seen[rule.priority] = rule
+
+    def check_width(self, match: TernaryMatch, what: str) -> None:
+        """ValueError unless ``match`` (one of this policy's rules, or
+        the flow of a path routed for it) has the header width the
+        policy classifies.  An empty policy accepts any width."""
+        if self.rules and match.width != self.width:
+            raise ValueError(
+                f"{what} is {match.width} bits wide; policy "
+                f"{self.ingress!r} classifies {self.width}-bit headers"
+            )
+
+    def check_flows(self, paths: Iterable[Path]) -> None:
+        """:meth:`check_width` for the flow of every path that has one."""
+        for path in paths:
+            if path.flow is not None:
+                self.check_width(
+                    path.flow, f"flow of path {path.ingress}->{path.egress}")
 
     # ------------------------------------------------------------------
     # Structure
@@ -83,12 +107,13 @@ class Policy:
         raise KeyError(f"no rule with priority {priority} in policy {self.ingress!r}")
 
     def add_rule(self, rule: Rule) -> None:
-        """Append a rule, enforcing priority uniqueness."""
+        """Append a rule, enforcing priority uniqueness and one width."""
         for existing in self.rules:
             if existing.priority == rule.priority:
                 raise ValueError(
                     f"priority {rule.priority} already used in policy {self.ingress!r}"
                 )
+        self.check_width(rule.match, f"rule t={rule.priority}")
         self.rules.append(rule)
         self._digest = None
 

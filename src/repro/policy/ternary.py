@@ -35,6 +35,16 @@ __all__ = [
     "overlapping_pairs",
 ]
 
+#: ``str.translate`` tables of the pattern codec: the first deletes the
+#: valid characters (what is left is invalid), the other two turn a
+#: pattern into the binary digits of its mask and of its value.
+_DELETE_TERNARY = str.maketrans("", "", "01*")
+_CARE_DIGITS = str.maketrans("01*", "110")
+_VALUE_DIGITS = str.maketrans("01*", "010")
+
+#: Byte table turning summed mask+value digit codes into pattern bytes.
+_RENDER = bytes.maketrans(b"\x60\x61\x62", b"*01")
+
 
 @dataclass(frozen=True, order=True)
 class TernaryMatch:
@@ -72,23 +82,23 @@ class TernaryMatch:
         """Parse a pattern such as ``"01*1"``.
 
         The leftmost character is the most-significant bit.  Characters
-        must be ``0``, ``1`` or ``*``.
+        must be ``0``, ``1`` or ``*``.  Validation runs before ``int``
+        sees the digits, because ``int`` also accepts ``_``, a sign,
+        surrounding whitespace and non-ASCII digits.
         """
-        mask = 0
-        value = 0
-        width = len(pattern)
-        for i, ch in enumerate(pattern):
-            bit = width - 1 - i
-            if ch == "0":
-                mask |= 1 << bit
-            elif ch == "1":
-                mask |= 1 << bit
-                value |= 1 << bit
-            elif ch == "*":
-                pass
-            else:
-                raise ValueError(f"invalid ternary character {ch!r} in {pattern!r}")
-        return cls(width, mask, value)
+        if not isinstance(pattern, str):
+            raise ValueError(
+                f"ternary pattern must be a string, got {type(pattern).__name__}"
+            )
+        invalid = pattern.translate(_DELETE_TERNARY)
+        if invalid:
+            raise ValueError(
+                f"invalid ternary character {invalid[0]!r} in {pattern!r}"
+            )
+        if not pattern:
+            return cls(0, 0, 0)
+        return cls(len(pattern), int(pattern.translate(_CARE_DIGITS), 2),
+                   int(pattern.translate(_VALUE_DIGITS), 2))
 
     @classmethod
     def wildcard(cls, width: int) -> "TernaryMatch":
@@ -241,17 +251,24 @@ class TernaryMatch:
     # ------------------------------------------------------------------
 
     def to_string(self) -> str:
-        """Render as a ``{0,1,*}`` pattern, MSB first."""
-        chars = []
-        for bit in range(self.width - 1, -1, -1):
-            b = 1 << bit
-            if not (self.mask & b):
-                chars.append("*")
-            elif self.value & b:
-                chars.append("1")
-            else:
-                chars.append("0")
-        return "".join(chars)
+        """Render as a ``{0,1,*}`` pattern, MSB first.
+
+        Added as base-256 numbers, the ASCII binary digits of mask and
+        value give one byte per position without carries: ``0x60`` for
+        a wildcard, ``0x61`` for a care 0, ``0x62`` for a care 1.  One
+        byte translate maps those to ``*``, ``0`` and ``1``.  Every
+        conversion is base 2 or base 256, so no Python runs per bit and
+        no decimal digit limit applies at any width.
+        """
+        width = self.width
+        if not width:
+            return ""
+        # A sentinel bit above the field keeps bin() from dropping
+        # leading zeros; its "0b1" prefix is sliced off below.
+        top = 1 << width
+        codes = (int.from_bytes(bin(self.mask | top).encode(), "big")
+                 + int.from_bytes(bin(self.value | top).encode(), "big"))
+        return codes.to_bytes(width + 3, "big")[3:].translate(_RENDER).decode()
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.to_string()
@@ -330,25 +347,25 @@ class PackedMatches:
 
     # ------------------------------------------------------------------
 
+    def _bits(self, words: np.ndarray) -> np.ndarray:
+        """``words`` unpacked to an ``(n, width)`` 0/1 array whose column
+        ``b`` is bit ``b``: little-endian limb bytes, least-significant
+        bit first, so limb ``k`` fills columns ``64k .. 64k+63``."""
+        raw = words.astype("<u8", copy=False).view(np.uint8)
+        return np.unpackbits(raw, axis=1, bitorder="little")[:, :self.width]
+
     def care_counts(self) -> np.ndarray:
         """How many cubes care about each bit position (length ``width``)."""
-        counts = np.zeros(self.width, dtype=np.int64)
-        for bit in range(self.width):
-            limb, off = divmod(bit, 64)
-            counts[bit] = int(
-                ((self.masks[:, limb] >> np.uint64(off)) & np.uint64(1)).sum()
-            )
-        return counts
+        return self._bits(self.masks).sum(axis=0, dtype=np.int64)
 
     def bucket_patterns(self, positions: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
         """Each cube's (mask, value) restricted to ``positions``, packed
         into single uint64s -- the short pattern the bucketing keys on."""
-        bm = np.zeros(self.n, dtype=np.uint64)
-        bv = np.zeros(self.n, dtype=np.uint64)
-        for k, bit in enumerate(positions):
-            limb, off = divmod(bit, 64)
-            bm |= ((self.masks[:, limb] >> np.uint64(off)) & np.uint64(1)) << np.uint64(k)
-            bv |= ((self.values[:, limb] >> np.uint64(off)) & np.uint64(1)) << np.uint64(k)
+        columns = np.asarray(positions, dtype=np.int64)
+        weights = np.left_shift(np.uint64(1),
+                                np.arange(len(columns), dtype=np.uint64))
+        bm = self._bits(self.masks)[:, columns] @ weights
+        bv = self._bits(self.values)[:, columns] @ weights
         return bm, bv
 
     def _pairs_block(self, rows: np.ndarray, cols: np.ndarray,

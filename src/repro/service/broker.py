@@ -1069,8 +1069,10 @@ class Broker:
     def _worker_failure(self, request, exc: Exception) -> Response:
         """The answer for a worker call that ended without a payload.
 
-        A crash is counted.  A delta preview's ValueError (unknown
-        ingress, duplicate policy) is the client's mistake.
+        A crash is counted.  A ValueError raised while a worker decodes
+        or previews a delta (unknown ingress, duplicate policy, a flow
+        of another width than its policy) or decodes a verify's
+        placement is the client's mistake.
         """
         message = str(exc)
         if isinstance(exc, WorkerCrash):
@@ -1078,7 +1080,7 @@ class Broker:
             status = ResponseStatus.WORKER_CRASHED
         elif isinstance(exc, TimeoutError):
             status = ResponseStatus.DEADLINE_EXCEEDED
-        elif (isinstance(request, DeltaRequest)
+        elif (isinstance(request, (DeltaRequest, VerifyRequest))
               and "ValueError:" in message):
             status = ResponseStatus.BAD_REQUEST
         else:
@@ -1128,9 +1130,3 @@ def _placed_from(entries) -> Dict[RuleKey, FrozenSet[str]]:
         (entry["ingress"], entry["priority"]): frozenset(entry["switches"])
         for entry in entries
     }
-
-
-def _request_paths(request: DeltaRequest):
-    from .workers import _paths_from
-
-    return _paths_from(request.paths)

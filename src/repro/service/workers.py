@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import threading
 import traceback
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from .. import io as repro_io
 from ..core.incremental import IncrementalDeployer
@@ -171,11 +171,11 @@ def delta_task(deployer: IncrementalDeployer, request: DeltaRequest,
     """
     if request.op == "install":
         policy = repro_io.policy_from_dict(request.policy)
-        paths = _paths_from(request.paths)
+        paths = repro_io.paths_from_dict(request.paths)
         result = deployer.preview_install(policy, paths,
                                           time_limit=time_limit)
     elif request.op == "reroute":
-        paths = _paths_from(request.paths)
+        paths = repro_io.paths_from_dict(request.paths)
         result = deployer.preview_reroute(request.ingress, paths,
                                           time_limit=time_limit)
     elif request.op == "modify":
@@ -208,10 +208,11 @@ def commit_delta(deployer: IncrementalDeployer, request: DeltaRequest,
     """
     if request.op == "install":
         policy = repro_io.policy_from_dict(request.policy)
-        deployer.commit_install(policy, _paths_from(request.paths), placed)
+        deployer.commit_install(
+            policy, repro_io.paths_from_dict(request.paths), placed)
     elif request.op == "reroute":
-        deployer.apply_reroute(request.ingress, _paths_from(request.paths),
-                               placed)
+        deployer.apply_reroute(
+            request.ingress, repro_io.paths_from_dict(request.paths), placed)
     elif request.op == "modify":
         policy = repro_io.policy_from_dict(request.policy)
         deployer.apply_modify(policy, placed)
@@ -231,20 +232,6 @@ def verify_task(instance: PlacementInstance,
         "paths_checked": report.paths_checked,
         "switches_checked": report.switches_checked,
     }
-
-
-def _paths_from(specs: List[Dict[str, Any]]):
-    from ..net.routing import Path
-    from ..policy.ternary import TernaryMatch
-
-    paths = []
-    for spec in specs:
-        flow = spec.get("flow")
-        paths.append(Path(
-            spec["ingress"], spec["egress"], tuple(spec["switches"]),
-            None if flow is None else TernaryMatch.from_string(flow),
-        ))
-    return paths
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,12 @@ class TestProtocolCompatibility:
             conn.sendall(b"this is not json\n")
             bad = json.loads(reader.readline())
             assert bad["status"] == "bad_request"
+            # Valid JSON, wrong type for the instance: still an answer.
+            conn.sendall(
+                b'{"kind":"solve","instance":[],"request_id":"rq-3"}\n')
+            bad = json.loads(reader.readline())
+            assert bad["status"] == "bad_request"
+            assert bad["request_id"] == "rq-3"
             # Same connection still serves the next, valid request.
             conn.sendall(b'{"kind":"ping"}\n')
             good = json.loads(reader.readline())

@@ -9,6 +9,11 @@ import pytest
 from repro import io as repro_io
 from repro.digest import canonical_digest
 from repro.experiments.generators import ExperimentConfig, build_instance
+from repro.net.routing import Routing, ShortestPathRouter
+from repro.policy.policy import Policy
+from repro.policy.rule import Action, Rule
+from repro.policy.ternary import TernaryMatch
+from repro.service import PlacementService, ServiceConfig
 from repro.service.protocol import (
     DeltaRequest,
     InvalidateRequest,
@@ -208,3 +213,128 @@ class TestSessionRequest:
             SessionRequest(deployment="prod", backend="cplex")
         with pytest.raises(ProtocolError):
             decode_request(json.dumps({"kind": "session"}))
+
+
+_RULE = ("instance", "policies", 0, "rules", 0)
+_FLOW = ("instance", "routing", 0, "flow")
+_MODIFY_RULE = ("policy", "rules", 0)
+
+#: One field of a solve, verify or modify request set to a bad value
+#: (or to a function of its current value): a wrong JSON type, a rule
+#: or flow of another width than the policy's other rules, or a
+#: non-integer priority.  An instance is refused at decode; a modify's
+#: policy and a verify's placement are decoded by a worker, whose
+#: ValueError the broker answers with ``bad_request``.
+MALFORMED = {
+    "instance-list": ("solve", ("instance",), []),
+    "instance-string": ("solve", ("instance",), "instance"),
+    "instance-number": ("solve", ("instance",), 7),
+    "match-int": ("solve", _RULE + ("match",), 104),
+    "match-null": ("solve", _RULE + ("match",), None),
+    "match-char-list": ("solve", _RULE + ("match",), list),
+    "match-dict": ("solve", _RULE + ("match",), {"0": 1}),
+    "match-too-wide": ("solve", _RULE + ("match",), "1" * 200),
+    "flow-int": ("solve", _FLOW, 5),
+    "flow-too-wide": ("solve", _FLOW, "1*" * 100),
+    "priority-string": ("solve", _RULE + ("priority",), "x"),
+    "modify-match-int": ("modify", _MODIFY_RULE + ("match",), 104),
+    "modify-match-too-wide": ("modify", _MODIFY_RULE + ("match",), "1" * 200),
+    "modify-priority-string": ("modify", _MODIFY_RULE + ("priority",), "x"),
+    "verify-placement-list": ("verify", ("placement",), []),
+}
+
+
+class TestMalformedInputAnswersBadRequest:
+    @pytest.fixture(scope="class")
+    def service(self, instance):
+        svc = PlacementService(ServiceConfig(executor="inline",
+                                             supervise=False))
+        deployed = svc.handle(SolveRequest(instance, deploy_as="prod"),
+                              timeout=60.0)
+        assert deployed.ok
+        yield svc
+        svc.close()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_answers_bad_request(self, service, instance, case):
+        kind, path, bad = MALFORMED[case]
+        if kind == "solve":
+            request = SolveRequest(instance, request_id=case)
+        elif kind == "verify":
+            request = VerifyRequest(instance, placement={}, request_id=case)
+        else:
+            request = DeltaRequest(
+                deployment="prod", op="modify", request_id=case,
+                policy=repro_io.policy_to_dict(next(iter(instance.policies))))
+        data = request.to_dict()
+        *parents, leaf = path
+        target = data
+        for key in parents:
+            target = target[key]
+        target[leaf] = bad(target[leaf]) if callable(bad) else bad
+        answer = decode_response(service.handle_line(json.dumps(data)))
+        assert answer.status == ResponseStatus.BAD_REQUEST, answer.error
+        assert answer.request_id == case
+
+
+class TestDeltaFlowWidth:
+    """A delta's path flows must have its policy's header width.
+
+    Greedy places a PERMIT-only policy without intersecting it with any
+    flow, so nothing downstream notices a mismatch.  Had such a delta
+    committed, every later journal compaction would fail to rebuild the
+    deployment's instance, and every journaled commit after it would be
+    applied but answered as an error.
+    """
+
+    def test_refused_and_later_deltas_commit_across_snapshots(
+            self, instance, tmp_path):
+        service = PlacementService(ServiceConfig(
+            executor="inline", journal_dir=str(tmp_path),
+            durability="flush", snapshot_every=2, supervise=False))
+        try:
+            assert service.handle(SolveRequest(instance, deploy_as="prod"),
+                                  timeout=60.0).ok
+            ports = [p.name for p in instance.topology.entry_ports]
+            free = next(p for p in ports
+                        if p not in set(instance.policies.ingresses))
+            width = next(iter(instance.policies)).width
+            policy = Policy(free, [Rule(
+                TernaryMatch.from_string("1" + "*" * (width - 1)),
+                Action.PERMIT, 1)])
+            path = ShortestPathRouter(instance.topology, seed=4) \
+                .shortest_path(free, ports[0])
+
+            def delta(op, flow_width, request_id):
+                flow = TernaryMatch.from_string("*" * flow_width)
+                return DeltaRequest(
+                    deployment="prod", op=op, ingress=free,
+                    policy=(repro_io.policy_to_dict(policy)
+                            if op == "install" else None),
+                    paths=repro_io.routing_to_dict(
+                        Routing([path.with_flow(flow)])),
+                    request_id=request_id)
+
+            for op in ("install", "reroute"):
+                wide = service.handle(delta(op, 200, f"{op}-wide"),
+                                      timeout=60.0)
+                assert wide.status == ResponseStatus.BAD_REQUEST, wide.error
+                assert "200 bits wide" in wide.error
+                fitting = service.handle(delta(op, width, op), timeout=60.0)
+                assert fitting.ok, fitting.error
+            for n in range(4):
+                answer = service.handle(delta("reroute", width, f"r{n}"),
+                                        timeout=60.0)
+                assert answer.ok, answer.error
+            snapshots = service.metrics.counter("journal_snapshots_total")
+            assert snapshots.value >= 3
+            digest = service.broker.deployment_digest("prod")
+        finally:
+            service.close()
+        recovered = PlacementService(ServiceConfig(
+            executor="inline", journal_dir=str(tmp_path),
+            durability="flush", snapshot_every=2, supervise=False))
+        try:
+            assert recovered.broker.deployment_digest("prod") == digest
+        finally:
+            recovered.close()
