@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint lint-fix-baseline chaos recovery recovery-quick cluster cluster-quick churn churn-quick bench bench-tables bench-full bench-compile bench-compile-quick bench-serve bench-serve-quick bench-warm bench-warm-quick bench-recovery bench-recovery-quick bench-cluster bench-cluster-quick serve examples verify-all clean
+.PHONY: install test test-report lint lint-fix-baseline chaos recovery recovery-quick cluster cluster-quick churn churn-quick bench bench-report bench-tables bench-full serve examples clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -51,16 +51,16 @@ cluster-quick:
 	REPRO_CLUSTER_QUICK=1 $(PYTHON) -m pytest tests/service/test_frontend.py tests/cluster/ -q
 
 # Traffic-driven caching acceptance: the traffic/counter/cache/harness
-# suites plus the strategy-comparison and 50-seed oracle benchmark;
-# writes BENCH_pr10.json (REPRO_CHURN_QUICK=1 or REPRO_CHURN_SEEDS=N
-# shrink the matrix).
+# suites (including the seeded strategy comparison), then the seeded
+# churn matrix through the journaled service, which exits nonzero on
+# any verdict/closure violation or shadow-digest mismatch.
 churn:
 	$(PYTHON) -m pytest tests/traffic/ -q
-	$(PYTHON) -m pytest benchmarks/test_churn_caching.py -q -s
+	$(PYTHON) -m repro.cli churn --service -o churn_report.json
 
 churn-quick:
-	REPRO_CHURN_QUICK=1 $(PYTHON) -m pytest tests/traffic/ -q
-	REPRO_CHURN_QUICK=1 $(PYTHON) -m pytest benchmarks/test_churn_caching.py -q -s
+	$(PYTHON) -m pytest tests/traffic/ -q
+	$(PYTHON) -m repro.cli churn --service --quick --seeds 10 -o churn_report.json
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
@@ -73,59 +73,6 @@ bench-tables:
 
 bench-full:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only --full-scale -s
-
-# Compile fast-path acceptance (1k/5k/10k rules); writes BENCH_pr3.json.
-bench-compile:
-	$(PYTHON) -m pytest benchmarks/test_compile_fastpath.py -q -s
-
-# 1k point only; refreshes BENCH_pr3.json without clobbering full-tier
-# numbers, and checks the 2x regression guard against them.
-bench-compile-quick:
-	REPRO_BENCH_QUICK=1 $(PYTHON) -m pytest benchmarks/test_compile_fastpath.py -q -s
-
-# Serving acceptance: seeded mixed workload against a live
-# PlacementService; writes BENCH_pr5.json.
-bench-serve:
-	$(PYTHON) -m pytest benchmarks/test_service_throughput.py -q -s
-
-# Small workload with inline workers; merges into BENCH_pr5.json
-# without clobbering full-tier numbers.
-bench-serve-quick:
-	REPRO_SERVE_QUICK=1 $(PYTHON) -m pytest benchmarks/test_service_throughput.py -q -s
-
-# Warm-session acceptance: differential equivalence harness (100
-# seeded delta streams, warm vs. cold) plus the per-delta overhead
-# benchmark at the 10k-rule point; writes BENCH_pr6.json.
-bench-warm:
-	$(PYTHON) -m pytest tests/solve/test_session_differential.py -q
-	$(PYTHON) -m pytest benchmarks/test_service_throughput.py -q -s -k TestWarmSessionOverhead
-
-# Quick tier: 20 seeds and a small instance; merges into BENCH_pr6.json
-# without clobbering full-tier numbers.
-bench-warm-quick:
-	REPRO_WARM_QUICK=1 $(PYTHON) -m pytest tests/solve/test_session_differential.py -q
-	REPRO_SERVE_QUICK=1 $(PYTHON) -m pytest benchmarks/test_service_throughput.py -q -s -k TestWarmSessionOverhead
-
-# Journal overhead + recovery-time acceptance at the 10k-rule point;
-# writes BENCH_pr7.json.
-bench-recovery:
-	$(PYTHON) -m pytest benchmarks/test_service_throughput.py -q -s -k TestDurability
-
-# Small instance; merges into BENCH_pr7.json without clobbering
-# full-tier numbers.
-bench-recovery-quick:
-	REPRO_SERVE_QUICK=1 $(PYTHON) -m pytest benchmarks/test_service_throughput.py -q -s -k TestDurability
-
-# Cluster acceptance benchmarks: idle-connection capacity (1000 idle
-# connections on the asyncio front-end, ping p95 <= 10 ms) and 1 -> 4
-# shard warm-delta scaling; writes BENCH_pr8.json.
-bench-cluster:
-	$(PYTHON) -m pytest benchmarks/test_cluster_scaling.py -q -s
-
-# Smaller workloads (200 idle conns, 1 -> 2 shards); merges into
-# BENCH_pr8.json without clobbering full-tier numbers.
-bench-cluster-quick:
-	REPRO_CLUSTER_QUICK=1 $(PYTHON) -m pytest benchmarks/test_cluster_scaling.py -q -s
 
 # Run the placement daemon on localhost (Ctrl-C to stop).  Add
 # --journal-dir/--durability for a crash-safe daemon; --shards N for

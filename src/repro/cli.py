@@ -20,8 +20,6 @@ Subcommands mirror the operational workflow:
 * ``ping``     -- liveness probe against a running daemon;
 * ``loadgen``  -- replay the seeded mixed workload against a daemon or
   cluster (``--cluster``) and write a report;
-* ``bench-serve`` -- replay the seeded mixed workload against a fresh
-  in-process daemon and write the benchmark report JSON;
 * ``churn``    -- run the traffic-driven rule-caching loop (seeded
   Zipf/flash-crowd stream, promotion/eviction deltas) across a seed
   matrix and gate on the caching correctness oracle (exit code 1 on
@@ -239,8 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--clients", type=int, default=None,
                          help="concurrent client threads")
     loadgen.add_argument("--quick", action="store_true",
-                         help="small workload (also via "
-                              "REPRO_CLUSTER_QUICK=1)")
+                         help="small workload")
 
     churn = sub.add_parser(
         "churn",
@@ -249,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     churn.add_argument("-o", "--output", default="churn_report.json",
                        help="report JSON path")
     churn.add_argument("--seeds", type=int, default=None,
-                       help="seed-matrix width (default 8, or "
-                            "$REPRO_CHURN_SEEDS)")
+                       help="seed-matrix width (default 8, 3 with "
+                            "--quick)")
     churn.add_argument("--seed", type=int, default=0,
                        help="first seed of the matrix")
     churn.add_argument("--ticks", type=int, default=None,
@@ -268,35 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "service (journal + sessions see the "
                             "churn) with a digest-checked shadow")
     churn.add_argument("--quick", action="store_true",
-                       help="small matrix (also via "
-                            "REPRO_CHURN_QUICK=1)")
-
-    bench = sub.add_parser(
-        "bench-serve",
-        help="replay the seeded mixed workload against a fresh daemon",
-    )
-    bench.add_argument("-o", "--output", default="BENCH_pr5.json",
-                       help="benchmark report JSON path")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--instances", type=int, default=None,
-                       help="distinct instances (cold solves)")
-    bench.add_argument("--repeats", type=int, default=None,
-                       help="cache-hit repeats per instance")
-    bench.add_argument("--deltas", type=int, default=None,
-                       help="incremental delta operations")
-    bench.add_argument("--clients", type=int, default=None,
-                       help="concurrent client threads")
-    bench.add_argument("--paths", type=int, default=None,
-                       help="routed paths per instance")
-    bench.add_argument("--rules", type=int, default=None,
-                       help="rules per policy")
-    bench.add_argument("--executor", choices=["process", "inline"],
-                       default="process")
-    bench.add_argument("--quick", action="store_true",
-                       help="small workload (also via REPRO_SERVE_QUICK=1)")
-    bench.add_argument("--address", default=None,
-                       help="host:port of a running daemon to drive over "
-                            "TCP instead of an in-process service")
+                       help="small matrix")
 
     lint = sub.add_parser(
         "lint",
@@ -659,16 +628,14 @@ def _cmd_ping(args: argparse.Namespace) -> int:
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     import json
-    import os
 
     from .service.loadgen import LoadgenConfig, run_loadgen
 
-    quick = args.quick or os.environ.get("REPRO_CLUSTER_QUICK") == "1"
     config = LoadgenConfig(seed=args.seed, address=args.address)
     if args.cluster:
         config.shards = args.shards
         config.deployments = args.deployments
-    if quick:
+    if args.quick:
         config.unique_instances = 3
         config.repeats = 2
         config.deltas = 2
@@ -702,57 +669,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                           for name, count in spread.items()))
         print(f"warm affinity: {affinity['digests']} digests, "
               f"{len(affinity['violations'])} violation(s)")
-    print(f"wrote {args.output}")
-    return 0 if totals["failures"] == 0 else 1
-
-
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    import json
-    import os
-
-    from .service.loadgen import LoadgenConfig, run_loadgen
-
-    quick = args.quick or os.environ.get("REPRO_SERVE_QUICK") == "1"
-    config = LoadgenConfig(seed=args.seed, executor=args.executor,
-                           address=args.address)
-    if quick:
-        config.unique_instances = 2
-        config.repeats = 2
-        config.deltas = 4
-        config.clients = 2
-        config.burst = 3
-        config.num_paths = 6
-        config.rules_per_policy = 6
-    if args.instances is not None:
-        config.unique_instances = args.instances
-    if args.repeats is not None:
-        config.repeats = args.repeats
-    if args.deltas is not None:
-        config.deltas = args.deltas
-    if args.clients is not None:
-        config.clients = args.clients
-    if args.paths is not None:
-        config.num_paths = args.paths
-    if args.rules is not None:
-        config.rules_per_policy = args.rules
-
-    report = run_loadgen(config)
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    totals = report["totals"]
-    warm = report["warm_vs_cold"]
-    print(f"{totals['requests']} requests in "
-          f"{totals['wall_seconds']:.2f}s "
-          f"({totals['throughput_rps']:.1f} req/s), "
-          f"{totals['failures']} failed, {totals['shed']} shed")
-    print(f"cold mean {warm['cold_mean_seconds'] * 1e3:.1f}ms, "
-          f"warm cache mean {warm['warm_cache_mean_seconds'] * 1e3:.2f}ms "
-          f"({warm['speedup']:.0f}x), "
-          f"hit rate {report['cache']['hit_rate']:.2f}")
-    coalescing = report["coalescing"]
-    print(f"coalescing: burst of {coalescing['burst_size']} -> "
-          f"{coalescing['solves_started']:.0f} solve(s)")
     print(f"wrote {args.output}")
     return 0 if totals["failures"] == 0 else 1
 
@@ -801,17 +717,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _cmd_churn(args: argparse.Namespace) -> int:
     import json
-    import os
     from dataclasses import replace
 
     from .traffic.harness import ChurnConfig, run_churn, run_churn_matrix
 
-    quick = args.quick or os.environ.get("REPRO_CHURN_QUICK") == "1"
-    seeds = args.seeds
-    if seeds is None:
-        env = os.environ.get("REPRO_CHURN_SEEDS")
-        seeds = int(env) if env else (3 if quick else 8)
-    ticks = args.ticks if args.ticks is not None else (48 if quick else 96)
+    seeds = args.seeds if args.seeds is not None else (3 if args.quick else 8)
+    ticks = args.ticks if args.ticks is not None else (48 if args.quick else 96)
     budget = args.budget if args.budget is not None else 12
     config = ChurnConfig(ticks=ticks, budget=budget,
                          strategy=args.strategy, service=args.service)
@@ -862,7 +773,6 @@ _HANDLERS = {
     "serve": _cmd_serve,
     "ping": _cmd_ping,
     "loadgen": _cmd_loadgen,
-    "bench-serve": _cmd_bench_serve,
     "churn": _cmd_churn,
     "lint": _cmd_lint,
 }

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..milp.model import LinExpr, Model, Sense, Variable, lin_sum
+from ..milp.model import Model, Sense, Variable, lin_sum
 from .depgraph import DependencyGraph, build_dependency_graph
 from .instance import PlacementInstance, RuleKey
 from .merging import MergePlan, build_merge_plan
@@ -56,12 +56,12 @@ class IlpEncoding:
     #: ``variables_at`` and capacity emission read it instead of
     #: scanning every ``(key, switch)`` entry per call.
     vars_by_switch: Dict[str, List[Variable]] = field(default_factory=dict)
-    #: Bulk mode only: constraint-family name (``dep``/``path``/``cap``)
-    #: -> index into ``model.blocks``.  Warm-start sessions patch the
-    #: live blocks through these handles instead of re-encoding.
+    #: Constraint-family name (``dep``/``path``/``cap``) -> index into
+    #: ``model.blocks``.  Warm-start sessions patch the live blocks
+    #: through these handles instead of re-encoding.
     family_blocks: Dict[str, int] = field(default_factory=dict)
-    #: Bulk mode only: switch -> row id inside the ``cap`` block, for
-    #: RHS patching as spare capacity evolves across deltas.
+    #: Switch -> row id inside the ``cap`` block, for RHS patching as
+    #: spare capacity evolves across deltas.
     cap_row_of: Dict[str, int] = field(default_factory=dict)
 
     def variables_at(self, switch: str) -> List[Variable]:
@@ -81,7 +81,6 @@ def build_encoding(
     enable_merging: bool = False,
     depgraphs: Optional[Dict[str, DependencyGraph]] = None,
     fixed: Optional[Dict[Tuple[RuleKey, str], int]] = None,
-    bulk: bool = False,
     slices: Optional[SliceInfo] = None,
 ) -> IlpEncoding:
     """Construct the full ILP for an instance (objective set separately).
@@ -90,13 +89,10 @@ def build_encoding(
     incremental deployment (Section IV-E) uses to freeze the untouched
     part of an existing solution while re-solving a sub-problem.
 
-    With ``bulk=True`` the three constraint families are emitted as
-    COO-triplet :class:`~repro.milp.model.LinearBlock` arrays instead of
-    per-row ``LinExpr`` objects -- semantically identical rows (the
-    differential tests assert equal solves), but the sparse backend
-    receives them as CSR input directly.  The operator API remains the
-    default for tests, small models, and anything that inspects
-    ``model.constraints`` by name.
+    The three constraint families land as COO-triplet
+    :class:`~repro.milp.model.LinearBlock` arrays (rows ``dep[i]``,
+    ``path[i]``, ``cap[i]``), which the sparse backend receives as CSR
+    input directly; merge linking and pins stay named operator rows.
     """
     depgraphs = depgraphs or {
         policy.ingress: build_dependency_graph(policy) for policy in instance.policies
@@ -109,45 +105,31 @@ def build_encoding(
     encoding = IlpEncoding(instance, model, depgraphs, slices, merge_plan)
 
     # --- variables ------------------------------------------------------
-    if bulk:
-        # Batched creation: one location pass, one Variable pass, with
-        # the inner loops running through itertools at C speed.  Bulk
-        # variables get compact positional names (``v{index}``) rather
-        # than the operator path's descriptive ``v[ingress,prio,switch]``
-        # -- at bulk scale nobody reads 30k names, and building them is
-        # a measurable share of encode time.  ``var_of`` remains the
-        # supported way to address placement variables in either mode.
-        locs: List[Tuple[RuleKey, str]] = []
-        for key, switches in slices.domains.items():
-            locs.extend(zip(repeat(key), switches))
-        created = model.add_binaries(map("v%d".__mod__, range(len(locs))))
-        encoding.var_of = dict(zip(locs, created))
-        vars_by_switch = encoding.vars_by_switch
-        for (key, switch), var in zip(locs, created):
-            bucket = vars_by_switch.get(switch)
-            if bucket is None:
-                bucket = vars_by_switch[switch] = []
-            bucket.append(var)
-    else:
-        for key, switches in slices.domains.items():
-            ingress, priority = key
-            for switch in switches:
-                var = model.add_binary(f"v[{_san(ingress)},{priority},{_san(switch)}]")
-                encoding.var_of[(key, switch)] = var
-                encoding.vars_by_switch.setdefault(switch, []).append(var)
+    # Batched creation: one location pass, one Variable pass, with the
+    # inner loops running through itertools at C speed.  Placement
+    # variables get compact positional names (``v{index}``): building
+    # descriptive names is a measurable share of encode time at scale,
+    # and ``var_of`` is the supported way to address them.
+    locs: List[Tuple[RuleKey, str]] = []
+    for key, switches in slices.domains.items():
+        locs.extend(zip(repeat(key), switches))
+    created = model.add_binaries(map("v%d".__mod__, range(len(locs))))
+    encoding.var_of = dict(zip(locs, created))
+    vars_by_switch = encoding.vars_by_switch
+    for (key, switch), var in zip(locs, created):
+        bucket = vars_by_switch.get(switch)
+        if bucket is None:
+            bucket = vars_by_switch[switch] = []
+        bucket.append(var)
     if merge_plan is not None:
         for (gid, switch), members in merge_plan.members_at.items():
             encoding.merge_var_of[(gid, switch)] = model.add_binary(
                 f"vm[{gid},{_san(switch)}]"
             )
 
-    if bulk:
-        _emit_families_bulk(encoding)
-    else:
-        _emit_families_operator(encoding)
+    _emit_families(encoding)
 
     # --- merge linking (Eq. 4 / Eq. 5) ------------------------------------
-    merge_plan = encoding.merge_plan
     if merge_plan is not None:
         for (gid, switch), members in merge_plan.members_at.items():
             vm = encoding.merge_var_of[(gid, switch)]
@@ -181,72 +163,9 @@ def build_encoding(
     return encoding
 
 
-def _emit_families_operator(encoding: IlpEncoding) -> None:
-    """The original per-row emission of the three constraint families."""
-    instance = encoding.instance
-    model = encoding.model
-    slices = encoding.slices
-    depgraphs = encoding.depgraphs
-    merge_plan = encoding.merge_plan
-
-    # --- rule dependency (Eq. 1) ----------------------------------------
-    for policy in instance.policies:
-        ingress = policy.ingress
-        graph = depgraphs[ingress]
-        for drop_priority in graph.drop_priorities():
-            drop_key = (ingress, drop_priority)
-            for switch in slices.domain(drop_key):
-                v_drop = encoding.var_of[(drop_key, switch)]
-                for permit_priority in graph.dependencies_of(drop_priority):
-                    permit_key = (ingress, permit_priority)
-                    v_permit = encoding.var_of[(permit_key, switch)]
-                    model.add_constraint(
-                        v_permit.to_expr() >= v_drop,
-                        name=f"dep[{_san(ingress)},{drop_priority},"
-                             f"{permit_priority},{_san(switch)}]",
-                    )
-
-    # --- path dependency (Eq. 2, per path, sliced per Section IV-C) ------
-    for policy in instance.policies:
-        ingress = policy.ingress
-        for path_index, path in enumerate(instance.routing.paths(ingress)):
-            for drop_priority in slices.drops_for_path(ingress, path_index):
-                key = (ingress, drop_priority)
-                terms = [
-                    encoding.var_of[(key, switch)]
-                    for switch in path.switches
-                    if (key, switch) in encoding.var_of
-                ]
-                model.add_constraint(
-                    lin_sum(terms) >= 1,
-                    name=f"path[{_san(ingress)},{path_index},{drop_priority}]",
-                )
-
-    # --- switch capacity (Eq. 3, merge-adjusted per Section IV-B) --------
-    merge_terms: Dict[str, LinExpr] = {}
-    if merge_plan is not None:
-        for (gid, switch), members in merge_plan.members_at.items():
-            m = len(members)
-            vm = encoding.merge_var_of[(gid, switch)]
-            expr = merge_terms.setdefault(switch, LinExpr())
-            expr.add_term(vm, -(m - 1))
-    for switch, variables in encoding.vars_by_switch.items():
-        expr = lin_sum(variables)
-        if switch in merge_terms:
-            expr = expr + merge_terms[switch]
-        model.add_constraint(
-            expr <= instance.capacity(switch), name=f"cap[{_san(switch)}]"
-        )
-
-
-def _emit_families_bulk(encoding: IlpEncoding) -> None:
-    """COO-triplet emission of the same three families (hot path).
-
-    Row-for-row equivalent to :func:`_emit_families_operator` -- same
-    coefficients, senses, and right-hand sides in the same family
-    order -- but each family lands in one
-    :meth:`~repro.milp.model.Model.add_linear_block` call.
-    """
+def _emit_families(encoding: IlpEncoding) -> None:
+    """COO-triplet emission of Eq. 1-3, one
+    :meth:`~repro.milp.model.Model.add_linear_block` call per family."""
     instance = encoding.instance
     model = encoding.model
     slices = encoding.slices
@@ -297,8 +216,8 @@ def _emit_families_bulk(encoding: IlpEncoding) -> None:
                     if var is not None:
                         cols.append(var.index)
                 # The row is emitted even with no variables on the path
-                # (0 >= 1), matching the operator path's explicit
-                # infeasibility rather than silently dropping the rule.
+                # (0 >= 1): explicit infeasibility rather than silently
+                # dropping the rule.
                 counts.append(len(cols) - before)
     r = len(counts)
     encoding.family_blocks["path"] = len(model.blocks)

@@ -30,11 +30,6 @@ __all__ = ["PlacerConfig", "Placement", "RulePlacer"]
 #: selected (the portfolio is not a Model-level backend).
 _PORTFOLIO = object()
 
-#: ``bulk_encoding="auto"`` switches to COO-block emission at this many
-#: placement variables; below it the per-row operator API costs nothing
-#: and keeps constraints individually named for inspection.
-_BULK_THRESHOLD = 2000
-
 
 @dataclass
 class Placement:
@@ -190,10 +185,6 @@ class PlacerConfig:
     engine_options: Dict[str, Dict[str, object]] = field(default_factory=dict)
     #: Portfolio execution strategy: ``"process"`` or ``"inline"``.
     executor: str = "process"
-    #: Constraint emission: ``"on"`` always uses COO blocks, ``"off"``
-    #: always the per-row operator API, ``"auto"`` switches on blocks
-    #: once the model crosses ``_BULK_THRESHOLD`` variables.
-    bulk_encoding: str = "auto"
     #: Solve independent components concurrently: ``"auto"`` decomposes
     #: whenever it is exact (no merging, no pins, separable objective),
     #: ``"off"`` always solves monolithically.
@@ -236,19 +227,10 @@ class RulePlacer:
             slices = build_slices(instance, depgraphs)
         encoding = build_encoding(
             instance, enable_merging=self.config.enable_merging,
-            depgraphs=depgraphs, fixed=fixed,
-            bulk=self._use_bulk(slices), slices=slices,
+            depgraphs=depgraphs, fixed=fixed, slices=slices,
         )
         apply_objective(encoding, self.config.objective)
         return encoding
-
-    def _use_bulk(self, slices) -> bool:
-        mode = self.config.bulk_encoding
-        if mode == "on":
-            return True
-        if mode == "off":
-            return False
-        return slices.num_variables() >= _BULK_THRESHOLD
 
     def place(self, instance: PlacementInstance,
               fixed: Optional[Dict[Tuple[RuleKey, str], int]] = None,
@@ -285,7 +267,6 @@ class RulePlacer:
             )
             build_seconds = time.perf_counter() - build_start
             compile_stats["encode_ms"] = build_seconds * 1000.0
-            compile_stats["bulk"] = bool(encoding.model.blocks)
             compile_stats.setdefault("components", 1)
             compile_stats.setdefault("parallel_speedup", 1.0)
             backend = self._resolve_backend()

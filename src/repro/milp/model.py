@@ -243,9 +243,9 @@ class Constraint:
 class LinearBlock:
     """A family of constraint rows in COO-triplet form.
 
-    The hot encoding path (``repro.core.ilp`` with ``bulk=True``) emits
-    each constraint family -- dependency, path, capacity -- as three
-    parallel arrays plus per-row sense/rhs, instead of allocating one
+    The encoder (:func:`repro.core.ilp.build_encoding`) emits each
+    constraint family -- dependency, path, capacity -- as three parallel
+    arrays plus per-row sense/rhs, instead of allocating one
     :class:`LinExpr` and :class:`Constraint` per row.  The SciPy/HiGHS
     backend consumes the triplets as CSR input directly; every other
     consumer (B&B, LP export, presolve, ``check_solution``) sees the
@@ -750,15 +750,14 @@ class Model:
     # Canonical form and content digest
     # ------------------------------------------------------------------
 
-    def canonical_csr(self) -> Dict[str, np.ndarray]:
-        """The model's rows in canonical CSR form.
+    def coo(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                           np.ndarray, np.ndarray]:
+        """Every row as COO triplets plus interval bounds.
 
-        Operator-API rows first, then block rows in block order.  Per
-        row, columns are sorted ascending, duplicate columns summed,
-        and explicit zeros dropped; row senses/rhs are expressed as
-        ``(lower, upper)`` interval bounds.  Two models with the same
-        mathematical content -- however they were built or patched --
-        produce identical arrays, which :meth:`content_digest` hashes.
+        Returns ``(rows, cols, data, row_lb, row_ub)``: operator-API
+        rows first, then block rows in block order, entries in emission
+        order (unsorted, duplicates not merged).  Senses and right-hand
+        sides become ``(lower, upper)`` row bounds.
         """
         row_parts: List[np.ndarray] = []
         col_parts: List[np.ndarray] = []
@@ -797,16 +796,29 @@ class Model:
             lb_parts.append(lower)
             ub_parts.append(upper)
             offset += block.num_rows
-        num_rows = offset
+        if not row_parts:
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, empty, np.zeros(0), np.zeros(0), np.zeros(0)
+        return (
+            np.concatenate(row_parts),
+            np.concatenate(col_parts),
+            np.concatenate(data_parts),
+            np.concatenate(lb_parts),
+            np.concatenate(ub_parts),
+        )
+
+    def canonical_csr(self) -> Dict[str, np.ndarray]:
+        """The model's rows (:meth:`coo`) in canonical CSR form.
+
+        Per row, columns are sorted ascending, duplicate columns summed,
+        and explicit zeros dropped; row bounds are :meth:`coo`'s.  Two
+        models with the same mathematical content -- however they were
+        built or patched -- produce identical arrays, which
+        :meth:`content_digest` hashes.
+        """
+        all_rows, all_cols, all_data, row_lb, row_ub = self.coo()
+        num_rows = len(row_lb)
         n = len(self.variables)
-        if row_parts:
-            all_rows = np.concatenate(row_parts)
-            all_cols = np.concatenate(col_parts)
-            all_data = np.concatenate(data_parts)
-        else:
-            all_rows = np.zeros(0, dtype=np.int64)
-            all_cols = np.zeros(0, dtype=np.int64)
-            all_data = np.zeros(0, dtype=np.float64)
         # Canonicalize: sort by (row, col), merge duplicates, drop zeros.
         order = np.lexsort((all_cols, all_rows))
         all_rows, all_cols, all_data = (
@@ -834,18 +846,16 @@ class Model:
             "indptr": indptr,
             "indices": all_cols,
             "data": all_data,
-            "row_lb": (np.concatenate(lb_parts) if lb_parts
-                       else np.zeros(0)),
-            "row_ub": (np.concatenate(ub_parts) if ub_parts
-                       else np.zeros(0)),
+            "row_lb": row_lb,
+            "row_ub": row_ub,
         }
 
     def content_digest(self) -> str:
         """Content fingerprint over the canonical model form.
 
         Covers variable types and bounds, the objective, and every row
-        via :meth:`canonical_csr` -- but *not* variable names (bulk
-        encoding assigns positional names nobody reads).  Warm-start
+        via :meth:`canonical_csr` -- but *not* variable names (the
+        encoder assigns positional names nobody reads).  Warm-start
         sessions key epoch invalidation on this digest: a patched model
         and a from-scratch build of the same content agree.
         """

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from .model import Model, Sense, SolveResult, SolveStatus, VarType
+from .model import Model, SolveResult, SolveStatus, VarType
 
 __all__ = ["ScipyMilpBackend"]
 
@@ -63,49 +63,12 @@ class ScipyMilpBackend:
         ])
 
         constraints = []
-        num_rows = model.num_constraints()
-        if num_rows:
-            # Operator-API rows flatten one dict at a time; bulk blocks
-            # (repro.core.ilp with bulk=True) arrive as COO triplets and
-            # are concatenated without touching individual rows.
-            rows, cols, data = [], [], []
-            c_lb = np.empty(len(model.constraints))
-            c_ub = np.empty(len(model.constraints))
-            for r, con in enumerate(model.constraints):
-                for idx, coeff in con.expr.coeffs.items():
-                    rows.append(r)
-                    cols.append(idx)
-                    data.append(coeff)
-                if con.sense is Sense.LE:
-                    c_lb[r], c_ub[r] = -np.inf, con.rhs
-                elif con.sense is Sense.GE:
-                    c_lb[r], c_ub[r] = con.rhs, np.inf
-                else:
-                    c_lb[r] = c_ub[r] = con.rhs
-            row_parts = [np.asarray(rows, dtype=np.int64)]
-            col_parts = [np.asarray(cols, dtype=np.int64)]
-            data_parts = [np.asarray(data, dtype=np.float64)]
-            lb_parts = [c_lb]
-            ub_parts = [c_ub]
-            offset = len(model.constraints)
-            for block in model.blocks:
-                row_parts.append(block.rows + offset)
-                col_parts.append(block.cols)
-                data_parts.append(block.data)
-                lower, upper = block.bounds()
-                lb_parts.append(lower)
-                ub_parts.append(upper)
-                offset += block.num_rows
+        if model.num_constraints():
+            rows, cols, data, row_lb, row_ub = model.coo()
             matrix = sparse.csr_matrix(
-                (
-                    np.concatenate(data_parts),
-                    (np.concatenate(row_parts), np.concatenate(col_parts)),
-                ),
-                shape=(num_rows, n),
+                (data, (rows, cols)), shape=(len(row_lb), n)
             )
-            constraints.append(LinearConstraint(
-                matrix, np.concatenate(lb_parts), np.concatenate(ub_parts)
-            ))
+            constraints.append(LinearConstraint(matrix, row_lb, row_ub))
 
         options: dict = {"mip_rel_gap": self.mip_rel_gap}
         limit = time_limit if time_limit is not None else self.time_limit

@@ -18,8 +18,7 @@ front-end over TCP -- and measures what the serving layer is for:
   greedy->sub-ILP ladder, one ordered stream per deployment, the
   streams concurrent with each other.
 
-The report (written to ``BENCH_pr5.json`` by ``repro bench-serve`` and
-``benchmarks/test_service_throughput.py``) records throughput,
+The report (written by ``repro loadgen``) records throughput,
 per-class latency quantiles, the warm/cold speedup, cache statistics,
 and the raw service counters; when the responses carry a shard it adds
 the spread over shards and a cache-affinity audit.  Everything is

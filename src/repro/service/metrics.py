@@ -12,8 +12,8 @@ scale this daemon needs:
 
 Every instrument lives in a :class:`MetricsRegistry`, which renders the
 whole set either as a JSON-able snapshot (embedded in service responses
-and ``BENCH_pr5.json``) or as Prometheus-style exposition text (the
-``metrics`` request of the wire protocol).  All instruments are
+and the ``repro loadgen`` report) or as Prometheus-style exposition
+text (the ``metrics`` request of the wire protocol).  All instruments are
 thread-safe: broker threads, the dispatcher, and connection handlers
 update them concurrently.
 """

@@ -139,8 +139,8 @@ def solve_task(request: SolveRequest,
     """Full placement through the standard pipeline.
 
     ``backend="portfolio"`` races every exact engine;  anything else
-    goes through the named MILP backend.  Component decomposition and
-    the bulk-encoding fast path apply exactly as in one-shot solves.
+    goes through the named MILP backend.  Component decomposition
+    applies exactly as in one-shot solves.
     """
     config = PlacerConfig(
         objective=_objective_for(request.objective),

@@ -14,7 +14,7 @@ both argue the artifacts should live as long as the deployment does.
 
 * the **pinned dependency graph** (:class:`~repro.core.depgraph.PinnedDepgraphs`)
   -- content-addressed, recomputed only when the policy's rules change;
-* the **live model**: the bulk COO/CSR encoding built once, then
+* the **live model**: the COO-block encoding built once, then
   *patched* across deltas -- capacity right-hand sides track spare
   capacity (:meth:`~repro.milp.model.Model.set_block_rhs`), path rows
   are swapped wholesale on a reroute
@@ -279,13 +279,13 @@ class SolverSession:
 
     def _build_entry(self, deployer, policy: Policy, paths: Sequence[Path],
                      graph: DependencyGraph, digest: str) -> _WarmEntry:
-        """Cold build: full bulk encoding, recorded as patchable state."""
+        """Cold build: full encoding, recorded as patchable state."""
         instance = self._sub_instance(deployer, policy, paths)
         depgraphs = {policy.ingress: graph}
         slices = build_slices(instance, depgraphs)
         encoding = build_encoding(
             instance, enable_merging=False, depgraphs=depgraphs,
-            bulk=True, slices=slices,
+            slices=slices,
         )
         apply_objective(encoding, TotalRules())
         key = paths_digest(paths)
@@ -409,7 +409,7 @@ class SolverSession:
                     np.zeros(r),
                 )
 
-        # Path rows for this routing, in the bulk emitter's order.
+        # Path rows for this routing, in the encoder's order.
         pair_set = frozenset(pairs)
         cols: List[int] = []
         counts: List[int] = []

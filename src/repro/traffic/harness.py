@@ -263,10 +263,10 @@ def run_churn_matrix(config: Optional[ChurnConfig] = None,
                      seeds: Sequence[int] = range(8)) -> Dict[str, Any]:
     """The seed-matrix oracle run: zero violations across every seed.
 
-    This is the CI gate's entry point (``REPRO_CHURN_SEEDS`` controls
-    the matrix width): each seed reshapes the instance, the policies,
-    and the traffic, and every run must finish with zero verdict and
-    zero closure violations.
+    This is the CI gate's entry point (``repro churn --seeds`` sets the
+    matrix width): each seed reshapes the instance, the policies, and
+    the traffic, and every run must finish with zero verdict and zero
+    closure violations.
     """
     config = config or ChurnConfig()
     runs: List[Dict[str, Any]] = []

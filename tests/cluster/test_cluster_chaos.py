@@ -85,9 +85,12 @@ class TestShardDeathMidRun:
         summary = report["cluster"]
         assert summary["shards_hit"] >= 2
         assert summary["warm_affinity"]["violations"] == []
-        # Undisrupted, each deployment has exactly one home.
-        for shards in summary["delta_homes"].values():
+        # Undisrupted, each deployment has exactly one home, and the
+        # deployments spread over more than one shard.
+        homes = summary["delta_homes"]
+        for shards in homes.values():
             assert len(shards) == 1
+        assert len(set().union(*homes.values())) >= 2, homes
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +177,10 @@ class TestClusterEndToEnd:
             env = dict(os.environ)
             env["PYTHONPATH"] = os.path.join(
                 os.path.dirname(__file__), "..", "..", "src")
-            env["REPRO_CLUSTER_QUICK"] = "1"
             result = subprocess.run(
                 [sys.executable, "-m", "repro.cli", "loadgen",
                  "--cluster", "--address", f"127.0.0.1:{port}",
-                 "-o", str(out)],
+                 "--quick", "-o", str(out)],
                 env=env, capture_output=True, text=True, timeout=300,
             )
             assert result.returncode == 0, result.stdout + result.stderr

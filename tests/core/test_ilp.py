@@ -34,6 +34,11 @@ def line_instance(policy_rules, capacity=10, num_switches=3):
     return PlacementInstance(topo, routing, PolicySet([policy]))
 
 
+def family_rows(encoding, family):
+    """The rows of one Eq. 1-3 constraint family, read from its block."""
+    return encoding.model.blocks[encoding.family_blocks[family]].to_constraints()
+
+
 class TestVariables:
     def test_one_variable_per_rule_switch(self):
         instance = line_instance([
@@ -61,7 +66,7 @@ class TestConstraints:
             rule("1*0*", Action.DROP, 1),
         ])
         encoding = build_encoding(instance)
-        dep_rows = [c for c in encoding.model.constraints if c.name.startswith("dep[")]
+        dep_rows = family_rows(encoding, "dep")
         assert len(dep_rows) == 3  # one per switch
         for row in dep_rows:
             assert row.sense is Sense.GE
@@ -71,7 +76,7 @@ class TestConstraints:
     def test_path_rows(self):
         instance = line_instance([rule("1***", Action.DROP, 1)])
         encoding = build_encoding(instance)
-        path_rows = [c for c in encoding.model.constraints if c.name.startswith("path[")]
+        path_rows = family_rows(encoding, "path")
         assert len(path_rows) == 1
         row = path_rows[0]
         assert row.sense is Sense.GE and row.rhs == 1.0
@@ -80,7 +85,7 @@ class TestConstraints:
     def test_capacity_rows(self):
         instance = line_instance([rule("1***", Action.DROP, 1)], capacity=7)
         encoding = build_encoding(instance)
-        cap_rows = [c for c in encoding.model.constraints if c.name.startswith("cap[")]
+        cap_rows = family_rows(encoding, "cap")
         assert len(cap_rows) == 3
         assert all(c.sense is Sense.LE and c.rhs == 7.0 for c in cap_rows)
 

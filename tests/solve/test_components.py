@@ -200,7 +200,6 @@ class TestPlacement:
         compile_stats = placement.solver_stats["compile"]
         assert compile_stats["components"] == 1
         assert compile_stats["parallel_speedup"] == 1.0
-        assert "bulk" in compile_stats
 
 
 class TestFallbacks:

@@ -251,3 +251,15 @@ def _wait_for(daemon, log, pattern: str, timeout: float = 60.0) -> str:
         time.sleep(0.05)
     raise AssertionError(f"{pattern!r} not in the log of the daemon "
                          f"(exit {daemon.poll()}):\n{log.read_text()}")
+
+
+class TestChurn:
+    def test_environment_does_not_size_the_matrix(self, tmp_path,
+                                                  monkeypatch, capsys):
+        """Only the flags size the churn matrix: ``--quick`` means 3
+        seeds whatever ``REPRO_CHURN_SEEDS`` says."""
+        monkeypatch.setenv("REPRO_CHURN_SEEDS", "1")
+        out = tmp_path / "churn.json"
+        assert main(["churn", "--quick", "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["seeds"] == 3
+        assert "3 seeds" in capsys.readouterr().out
