@@ -102,7 +102,7 @@ class ServiceChaosConfig:
     #: ``inline`` keeps the matrix deterministic and fork-free;
     #: ``process`` additionally exercises SIGKILLed session children.
     executor: str = "inline"
-    #: Attach a warm session at deploy time (recovered sessions are
+    #: Attach a session at deploy time (recovered sessions are
     #: part of the oracle when on).
     use_session: bool = True
     instance_config: ExperimentConfig = field(default_factory=lambda: (

@@ -174,16 +174,16 @@ def build_dependency_graph(policy: Policy, use_cache: bool = True) -> Dependency
 
 
 class PinnedDepgraphs:
-    """A session-scoped depgraph cache pinned to one live deployment.
+    """A session-scoped depgraph memo pinned to one live deployment.
 
-    Unlike the module-level LRU (which any solve on the process can
-    evict), a :class:`~repro.solve.session.SolverSession` owns one of
-    these outright: as long as a deployment's policy content is
-    unchanged, every delta preview gets its dependency graph back in
-    O(digest) with zero recompute -- the property the warm-delta
-    ``depgraph_ms`` regression test pins down.  Entries are keyed by
-    ``Policy.content_digest()``, so a modified policy misses and is
-    recomputed exactly once.
+    This memo is all a :class:`~repro.solve.session.SolverSession`
+    holds.  Unlike the module-level LRU (which any solve on the process
+    can evict), the session owns it outright: as long as a deployment's
+    policy content is unchanged, every delta preview, greedy or sub-ILP,
+    gets its dependency graph back in O(digest) with zero recompute --
+    the property ``TestSessionDepgraphReuse`` pins down.  Entries are
+    keyed by ``Policy.content_digest()``, so a modified policy misses
+    and is recomputed exactly once.
     """
 
     def __init__(self, max_entries: int = 512) -> None:

@@ -57,12 +57,9 @@ class IlpEncoding:
     #: scanning every ``(key, switch)`` entry per call.
     vars_by_switch: Dict[str, List[Variable]] = field(default_factory=dict)
     #: Constraint-family name (``dep``/``path``/``cap``) -> index into
-    #: ``model.blocks``.  Warm-start sessions patch the live blocks
-    #: through these handles instead of re-encoding.
+    #: ``model.blocks``, so a reader finds one family's rows without
+    #: knowing the emission order.
     family_blocks: Dict[str, int] = field(default_factory=dict)
-    #: Switch -> row id inside the ``cap`` block, for RHS patching as
-    #: spare capacity evolves across deltas.
-    cap_row_of: Dict[str, int] = field(default_factory=dict)
 
     def variables_at(self, switch: str) -> List[Variable]:
         return list(self.vars_by_switch.get(switch, ()))
@@ -193,8 +190,8 @@ def _emit_families(encoding: IlpEncoding) -> None:
                     cols.append(var_of[(permit_key, switch)].index)
                     cols.append(drop_idx)
     r = len(cols) // 2
-    # Every family block is emitted even when empty so sessions can
-    # patch a stable ``family_blocks`` layout (dep/path/cap) in place.
+    # Every family block is emitted even when empty, so
+    # ``family_blocks`` always names all three.
     encoding.family_blocks["dep"] = len(model.blocks)
     model.add_linear_block(
         np.repeat(np.arange(r, dtype=np.int64), 2), cols,
@@ -245,7 +242,6 @@ def _emit_families(encoding: IlpEncoding) -> None:
         for vm_index, coeff in merge_adjust.get(switch, ()):
             cols.append(vm_index)
             data.append(float(coeff))
-        encoding.cap_row_of[switch] = len(counts)
         counts.append(len(cols) - before)
         rhs.append(float(instance.capacity(switch)))
     r = len(counts)

@@ -45,9 +45,9 @@ class IncrementalResult:
     seconds: float
     placed: Dict[RuleKey, FrozenSet[str]] = field(default_factory=dict)
     installed_rules: int = 0
-    #: Compile/session telemetry: ``solver_stats["compile"]`` carries
-    #: ``depgraph_ms`` plus ``encode_ms`` (cold) or ``patch_ms`` (warm);
-    #: warm-session solves add a ``"session"`` record.
+    #: Compile telemetry: ``solver_stats["compile"]`` carries
+    #: ``depgraph_ms``, plus the placer's encode statistics when the
+    #: sub-ILP ran.
     solver_stats: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -88,17 +88,16 @@ class IncrementalDeployer:
             self._loads[switch] = load
 
     # ------------------------------------------------------------------
-    # Warm-start session
+    # Solver session
     # ------------------------------------------------------------------
 
     def attach_session(self, session) -> None:
-        """Route ILP-bound previews through a warm
-        :class:`~repro.solve.session.SolverSession`.
+        """Resolve previews' dependency graphs through a
+        :class:`~repro.solve.session.SolverSession`'s pinned memo.
 
-        The session keeps the encoded sub-models, dependency graphs,
-        and previous placements alive across deltas; the deployer stays
-        the single source of truth for the deployed state.  Only the
-        ``"ilp"`` engine has a warm path.
+        The ladder itself is unchanged (greedy, then :meth:`_sub_ilp`);
+        the deployer stays the single source of truth for the deployed
+        state.  Sessions serve the ``"ilp"`` engine only.
         """
         if self.engine != "ilp":
             raise ValueError(
@@ -221,7 +220,7 @@ class IncrementalDeployer:
         started = time.perf_counter()
         # One dependency analysis serves the greedy stage and the
         # sub-solver; with an attached session it comes from the pinned
-        # per-deployment cache, so a warm delta pays ~0ms here.
+        # per-deployment memo, so an unchanged policy pays ~0ms here.
         graph_start = time.perf_counter()
         if self._session is not None:
             graph = self._session.depgraphs.get(policy)
@@ -235,22 +234,12 @@ class IncrementalDeployer:
                     SolveStatus.FEASIBLE, "greedy",
                     time.perf_counter() - started, placed,
                     sum(len(s) for s in placed.values()),
-                    solver_stats={"compile": {
-                        "depgraph_ms": depgraph_ms,
-                        "warm": self._session is not None,
-                    }},
+                    solver_stats={"compile": {"depgraph_ms": depgraph_ms}},
                 )
-        if self._session is not None and self.engine == "ilp":
-            result = self._session.sub_solve(
-                self, policy, paths, time_limit, graph=graph
-            )
-            compile_stats = result.solver_stats.setdefault("compile", {})
-            compile_stats["depgraph_ms"] = depgraph_ms
-        else:
-            result = self._sub_ilp(policy, paths, time_limit,
-                                   depgraphs={policy.ingress: graph})
-            compile_stats = result.solver_stats.setdefault("compile", {})
-            compile_stats["depgraph_ms"] = depgraph_ms
+        result = self._sub_ilp(policy, paths, time_limit,
+                               depgraphs={policy.ingress: graph})
+        compile_stats = result.solver_stats.setdefault("compile", {})
+        compile_stats["depgraph_ms"] = depgraph_ms
         result.seconds = time.perf_counter() - started
         return result
 

@@ -238,7 +238,7 @@ class RulePlacer:
         """Run the full pipeline and return the extracted placement.
 
         ``depgraphs`` lets a caller that already holds the dependency
-        graphs (a warm session's pinned cache, a component fan-out)
+        graphs (a session's pinned memo, a component fan-out)
         skip the recompute; ``compile.depgraph_ms`` then honestly
         reports the near-zero reuse cost.
         """

@@ -1,7 +1,7 @@
 """Forked children: one way to start, talk to and tear down a child.
 
 Every process the package creates is a :class:`Child`: the serving
-pool's fork per request, the warm-session worker, the portfolio's engine
+pool's fork per request, the session worker, the portfolio's engine
 race and the component solver.  A child runs ``main(conn, *args)`` on a
 copy-on-write snapshot of the parent and answers over one duplex pipe
 with ``("done", payload)`` or ``("error", traceback)`` (:func:`reply`).

@@ -23,7 +23,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -61,8 +61,8 @@ class BranchAndBoundBackend:
 
     # ------------------------------------------------------------------
 
-    def solve(self, model: Model, time_limit: Optional[float] = None,
-              warm_start: Optional[Mapping[int, float]] = None) -> SolveResult:
+    def solve(self, model: Model,
+              time_limit: Optional[float] = None) -> SolveResult:
         started = self.clock()
         limit = time_limit if time_limit is not None else self.time_limit
         n = model.num_variables()
@@ -76,20 +76,6 @@ class BranchAndBoundBackend:
 
         best_obj = math.inf
         best_x: Optional[np.ndarray] = None
-        warm_seeded = False
-        if warm_start is not None and model.check_solution(dict(warm_start)):
-            # Incumbent seeding: a known-feasible assignment (the
-            # previous placement, in warm-session use) becomes the
-            # starting incumbent, so pruning bites from node one.
-            # Objective is kept in the internal frame (no constant).
-            best_x = np.array(
-                [float(warm_start.get(i, 0.0)) for i in range(n)]
-            )
-            best_obj = float(sum(
-                coeff * best_x[idx]
-                for idx, coeff in model.objective.coeffs.items()
-            ))
-            warm_seeded = True
         nodes_explored = 0
         seq = itertools.count()
 
@@ -146,8 +132,6 @@ class BranchAndBoundBackend:
         elapsed = self.clock() - started
         exhausted = not heap and not timed_out and nodes_explored < self.max_nodes
         stats = {"nodes": float(nodes_explored)}
-        if warm_seeded:
-            stats["warm_start"] = 1.0
         if heap:
             # Honest dual bound: the best open node (capped by the
             # incumbent, shifted to match the reported objective frame).

@@ -8,9 +8,8 @@ expects and maps HiGHS statuses back onto :class:`SolveStatus`.
 
 from __future__ import annotations
 
-import inspect
 import time
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 from scipy import sparse
@@ -19,11 +18,6 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from .model import Model, SolveResult, SolveStatus, VarType
 
 __all__ = ["ScipyMilpBackend"]
-
-# MIP-start support landed in scipy's milp() as an ``x0`` keyword; the
-# pinned scipy may predate it, so warm starts are gated on the actual
-# signature instead of a version check.
-_MILP_SUPPORTS_X0 = "x0" in inspect.signature(milp).parameters
 
 # scipy.optimize.milp status codes (see its docs):
 # 0 optimal, 1 iteration/time limit, 2 infeasible, 3 unbounded, 4 other.
@@ -44,8 +38,8 @@ class ScipyMilpBackend:
         self.time_limit = time_limit
         self.mip_rel_gap = mip_rel_gap
 
-    def solve(self, model: Model, time_limit: Optional[float] = None,
-              warm_start: Optional[Mapping[int, float]] = None) -> SolveResult:
+    def solve(self, model: Model,
+              time_limit: Optional[float] = None) -> SolveResult:
         started = time.perf_counter()
         n = model.num_variables()
         if n == 0:
@@ -75,19 +69,12 @@ class ScipyMilpBackend:
         if limit is not None:
             options["time_limit"] = limit
 
-        kwargs: dict = {}
-        warm_used = False
-        if warm_start is not None and _MILP_SUPPORTS_X0:
-            x0 = np.array([float(warm_start.get(i, 0.0)) for i in range(n)])
-            kwargs["x0"] = x0
-            warm_used = True
         result = milp(
             c,
             constraints=constraints,
             bounds=Bounds(lb, ub),
             integrality=integrality,
             options=options,
-            **kwargs,
         )
         elapsed = time.perf_counter() - started
 
@@ -109,22 +96,8 @@ class ScipyMilpBackend:
             values = {i: float(x) for i, x in enumerate(result.x)}
             objective = float(result.fun) + model.objective.constant
         stats = {}
-        if warm_used:
-            stats["warm_start"] = 1.0
         if getattr(result, "mip_node_count", None) is not None:
             stats["nodes"] = float(result.mip_node_count)
         if getattr(result, "mip_gap", None) is not None:
             stats["gap"] = float(result.mip_gap)
-        if (status is SolveStatus.TIME_LIMIT and result.x is None
-                and warm_start is not None
-                and model.check_solution(dict(warm_start))):
-            # HiGHS hit the limit without producing a solution, but the
-            # caller's warm start is a verified-feasible incumbent --
-            # return it rather than an empty TIME_LIMIT.
-            values = {i: float(warm_start.get(i, 0.0)) for i in range(n)}
-            objective = (
-                float(sum(c[i] * values[i] for i in range(n)))
-                + model.objective.constant
-            )
-            stats["warm_start_incumbent"] = 1.0
         return SolveResult(status, objective, values, elapsed, stats)

@@ -156,17 +156,14 @@ class _Flight:
 class _Deployment:
     """A named live deployer plus its serialization lock.
 
-    ``session`` is the optional warm :class:`SessionWorker` pinned to
-    this deployment; ``session_backend`` remembers the requested
-    backend so a crashed session can be rebuilt cold with the same
-    configuration.
+    ``session`` is the optional :class:`SessionWorker` pinned to this
+    deployment.
     """
 
     def __init__(self, deployer: IncrementalDeployer) -> None:
         self.deployer = deployer
         self.lock = threading.Lock()
         self.session: Optional[SessionWorker] = None
-        self.session_backend: str = "highs"
         #: Should a session exist?  Journaled desired state: set on
         #: attach, cleared on detach, re-established at recovery and by
         #: the supervisor after a crash.
@@ -247,14 +244,13 @@ class Broker:
         self._c_expired = m.counter("deadline_expired_total",
                                     "requests expired while queued")
         self._c_sessions = m.counter("sessions_attached_total",
-                                     "warm solver sessions attached")
+                                     "solver sessions attached")
         self._c_session_deltas = m.counter(
             "session_deltas_total",
-            "deltas served through a warm session worker")
+            "deltas served through a session worker")
         self._c_session_rebuilds = m.counter(
             "session_rebuilds_total",
-            "warm sessions rebuilt cold after a crash, hang, or "
-            "desync")
+            "sessions rebuilt after a crash, hang, or desync")
         self._c_restarts = m.counter(
             "worker_restarts_total",
             "persistent workers restarted by the broker or supervisor")
@@ -392,19 +388,17 @@ class Broker:
             previous = self._deployments.get(name)
             self._deployments[name] = _Deployment(deployer)
         if previous is not None:
-            # A replaced deployment's warm session describes dead
-            # state; shut its worker down outside the broker lock.
+            # A replaced deployment's session describes dead state;
+            # shut its worker down outside the broker lock.
             previous.drop_session()
 
     def restore_deployment(self, name: str, deployer: IncrementalDeployer,
                            session_desired: bool = False,
-                           session_backend: str = "highs",
                            quarantined: bool = False) -> None:
         """Install a deployment during journal recovery, *without*
         journaling (the journal is where it came from)."""
         deployment = _Deployment(deployer)
         deployment.session_desired = session_desired
-        deployment.session_backend = session_backend
         deployment.quarantined = quarantined
         with self._lock:
             self._deployments[name] = deployment
@@ -466,7 +460,6 @@ class Broker:
                 "instance": repro_io.instance_to_dict(placement.instance),
                 "placement": repro_io.placement_to_dict(placement),
                 "session_desired": deployment.session_desired,
-                "session_backend": deployment.session_backend,
                 "quarantined": deployment.quarantined,
             })
         return {
@@ -557,7 +550,6 @@ class Broker:
                 "attached": session is not None,
                 "alive": alive,
                 "quarantined": deployment.quarantined,
-                "backend": deployment.session_backend,
                 "pid": session.pid if session is not None else None,
             }
         return health
@@ -615,11 +607,11 @@ class Broker:
         self._g_quarantined.set(count)
 
     # ------------------------------------------------------------------
-    # Warm sessions (control plane: answered inline, never queued)
+    # Sessions (control plane: answered inline, never queued)
     # ------------------------------------------------------------------
 
     def session_op(self, request: SessionRequest) -> Response:
-        """Attach, detach, or inspect a deployment's warm session."""
+        """Attach, detach, or inspect a deployment's session."""
         with self._lock:
             deployment = self._deployments.get(request.deployment)
         if deployment is None:
@@ -633,7 +625,6 @@ class Broker:
                 deployment.drop_session()
 
                 def apply_attach() -> None:
-                    deployment.session_backend = request.backend
                     deployment.session_desired = True
                     # An explicit attach is the operator overriding the
                     # quarantine: give the deployment a fresh chance.
@@ -641,14 +632,12 @@ class Broker:
 
                 self._journal_commit("session", {
                     "deployment": request.deployment, "op": "attach",
-                    "backend": request.backend,
                     "request_id": request.request_id,
                 }, apply_attach)
                 self._refresh_quarantine_gauge()
                 # repro: allow[REP-FORK] session child only reads its pipe, never parent locks; deployment.lock serializes lifecycle
                 deployment.session = SessionWorker(
-                    deployment.deployer, backend=request.backend,
-                    executor=self.pool.executor,
+                    deployment.deployer, executor=self.pool.executor,
                 )
                 self._c_sessions.inc()
                 return Response(
@@ -656,7 +645,6 @@ class Broker:
                     request_id=request.request_id,
                     result={"deployment": request.deployment,
                             "attached": True,
-                            "backend": request.backend,
                             "executor": deployment.session.executor},
                 )
             if request.op == "detach":
@@ -668,7 +656,6 @@ class Broker:
 
                 self._journal_commit("session", {
                     "deployment": request.deployment, "op": "detach",
-                    "backend": deployment.session_backend,
                     "request_id": request.request_id,
                 }, apply_detach)
                 return Response(
@@ -698,19 +685,17 @@ class Broker:
                             "attached": False, "error": str(exc)},
                 )
             result = {"deployment": request.deployment, "attached": True,
-                      "backend": deployment.session_backend,
                       "executor": session.executor}
             result.update(stats)
             return Response(status=ResponseStatus.OK, kind=request.kind,
                             request_id=request.request_id, result=result)
 
     def _rebuild_session(self, deployment: _Deployment) -> None:
-        """Cold-rebuild a deployment's session after crash/hang/desync.
+        """Rebuild a deployment's session after crash/hang/desync.
 
         Caller holds ``deployment.lock``.  The fresh worker snapshots
-        the *current* live deployer, so its first preview follows the
-        cold path -- exactly the oracle the differential harness
-        replays.
+        the *current* live deployer with an empty depgraph memo; its
+        answers are those of a deployer without a session.
         """
         deployment.drop_session()
         self._c_session_rebuilds.inc()
@@ -722,9 +707,7 @@ class Broker:
             return
         try:
             deployment.session = SessionWorker(
-                deployment.deployer,
-                backend=deployment.session_backend,
-                executor=self.pool.executor,
+                deployment.deployer, executor=self.pool.executor,
             )
         except Exception:  # pragma: no cover - fork failure
             deployment.session = None
@@ -930,8 +913,8 @@ class Broker:
             session = deployment.session
             if session is not None and not session.alive:
                 # The worker died between deltas (crash, OOM kill):
-                # rebuild the session cold from the authoritative
-                # deployer before serving.
+                # rebuild the session from the authoritative deployer
+                # before serving.
                 self._c_crashes.inc()
                 # repro: allow[REP-FORK] session child only reads its pipe, never parent locks; deployment.lock serializes lifecycle
                 self._rebuild_session(deployment)
@@ -994,7 +977,7 @@ class Broker:
                 # The child previewed against its own snapshot; mirror
                 # the commit so the snapshot tracks the authority.  A
                 # mirror failure means the states may have diverged --
-                # the session is untrustworthy, rebuild it cold.
+                # the session is untrustworthy, rebuild it.
                 # repro: allow[REP-FORK] mirror only rebuilds on failure; the forked child never touches parent locks
                 self._mirror(deployment,
                              lambda s: s.commit(request, placed,
@@ -1007,12 +990,12 @@ class Broker:
     def _session_preview(self, deployment: _Deployment,
                          request: DeltaRequest,
                          remaining: Optional[float]):
-        """Try the warm session; returns ``(payload, response)``.
+        """Try the session worker; returns ``(payload, response)``.
 
         Exactly one of the two is non-None, except the
         crash-with-rebuild-also-dead case where both are None -- the
-        caller then falls through to the per-request pool (the cold
-        path, which needs no session at all).  Caller holds
+        caller then falls through to the per-request pool (which
+        needs no session at all).  Caller holds
         ``deployment.lock``.
         """
         try:
@@ -1027,8 +1010,8 @@ class Broker:
             if session is None or not session.alive:
                 return None, None
             try:
-                # Retry once through the fresh (cold) session: the
-                # crash cost the warm state, not the request.
+                # Retry once through the fresh session: the crash
+                # cost the worker, not the request.
                 payload = session.preview(
                     request, remaining,
                     timeout=self._pool_timeout(remaining))

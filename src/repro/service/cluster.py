@@ -1,9 +1,10 @@
 """Consistent-hash sharded cluster of placement daemons.
 
 One daemon's throughput tops out at its worker pool; the caches that
-make it *fast* -- the PR 5 :class:`~repro.service.cache.ResultCache`
-and the PR 6 warm :class:`~repro.solve.session.SolverSession` state --
-are all keyed by content.  So the scale-out unit is the *key*: route
+make it *fast* -- the :class:`~repro.service.cache.ResultCache` and
+each session's pinned depgraph memo
+(:class:`~repro.solve.session.SolverSession`) -- are all keyed by
+content.  So the scale-out unit is the *key*: route
 every request for the same placement instance (or the same named
 deployment) to the same shard, and each shard's caches stay as hot as
 the single-daemon case while aggregate throughput grows with the shard
@@ -292,7 +293,7 @@ class ClusterRouter:
     * plain solve / verify -> ``instance.digest()`` -- repeat solves of
       one instance hit one shard's result cache;
     * deploy / delta / session -> the deployment name -- a deployment's
-      deployer state and warm session live on exactly one shard.
+      deployer state and session worker live on exactly one shard.
 
     Stickiness: a deployment's *home* shard is wherever it was last
     successfully served.  When the home dies, the router walks the
@@ -793,7 +794,7 @@ class LocalCluster:
 
     On one box the shards share the GIL for Python-side work, but each
     shard's *solver* children are separate processes, and -- the point
-    of the design -- each shard's result cache and warm sessions serve
+    of the design -- each shard's result cache and sessions serve
     their own key range exclusively.
     """
 

@@ -22,14 +22,14 @@ idle.
 Durability (PR 7): ``journal_dir`` attaches a write-ahead
 :class:`~repro.service.journal.Journal`.  At boot the service replays
 the journal -- newest snapshot plus record tail -- and rebuilds every
-acked deployment, dedup entry, cache epoch, and desired warm session
+acked deployment, dedup entry, cache epoch, and desired session
 before accepting the first request.  A :class:`~repro.service.
 supervisor.Supervisor` then keeps session workers alive.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set
 
 from .. import __version__
 from .. import io as repro_io
@@ -153,7 +153,7 @@ class PlacementService:
         Order matters: the snapshot is the base, then records replay in
         commit order -- the same order the pre-crash daemon applied
         them -- so the rebuilt deployers are digest-identical by
-        construction.  Warm sessions re-attach only after the state is
+        construction.  Sessions re-attach only after the state is
         final (a session forks a snapshot of its deployer).
         """
         report: Dict[str, Any] = {
@@ -162,7 +162,9 @@ class PlacementService:
             "sessions": 0, "duplicates": state.duplicate_records,
             "truncated_tail_bytes": state.truncated_tail_bytes,
         }
-        session_desired: Dict[str, Dict[str, Any]] = {}
+        # Older snapshots and session records also carry a session
+        # ``backend`` key; recovery ignores it.
+        session_desired: Set[str] = set()
         if state.snapshot is not None:
             report["snapshot_seq"] = state.snapshot.get("seq", 0)
             for spec in state.snapshot.get("deployments", []):
@@ -172,30 +174,27 @@ class PlacementService:
                 self.broker.restore_deployment(
                     spec["name"], IncrementalDeployer(placement),
                     session_desired=bool(spec.get("session_desired")),
-                    session_backend=spec.get("session_backend", "highs"),
                     quarantined=bool(spec.get("quarantined")),
                 )
                 if spec.get("session_desired") and not spec.get(
                         "quarantined"):
-                    session_desired[spec["name"]] = {
-                        "backend": spec.get("session_backend", "highs")}
+                    session_desired.add(spec["name"])
                 report["deployments"] += 1
             self.cache.restore_epochs(state.snapshot.get("epochs", {}))
             self.broker.restore_applied(state.snapshot.get("applied", []))
         for record in state.records:
             self._replay_record(record, report, session_desired)
-        for name, spec in session_desired.items():
+        for name in sorted(session_desired):
             try:
                 self.broker.session_op(SessionRequest(
-                    deployment=name, op="attach",
-                    backend=spec["backend"]))
+                    deployment=name, op="attach"))
                 report["sessions"] += 1
             except Exception:  # pragma: no cover - fork failure at boot
                 pass
         return report
 
     def _replay_record(self, record, report: Dict[str, Any],
-                       session_desired: Dict[str, Dict[str, Any]]) -> None:
+                       session_desired: Set[str]) -> None:
         data = record.data
         if record.kind == "deploy":
             instance = repro_io.instance_from_dict(data["instance"])
@@ -203,7 +202,7 @@ class PlacementService:
                 data["placement"], instance)
             self.broker.restore_deployment(
                 data["name"], IncrementalDeployer(placement))
-            session_desired.pop(data["name"], None)
+            session_desired.discard(data["name"])
             report["deployments"] += 1
         elif record.kind == "delta":
             request = DeltaRequest.from_dict(data["request"])
@@ -231,10 +230,9 @@ class PlacementService:
             report["epochs"] += 1
         elif record.kind == "session":
             if data["op"] == "attach":
-                session_desired[data["deployment"]] = {
-                    "backend": data.get("backend", "highs")}
+                session_desired.add(data["deployment"])
             else:
-                session_desired.pop(data["deployment"], None)
+                session_desired.discard(data["deployment"])
         # Unknown kinds are forward-compatibility: skipped, not fatal.
 
     def _remember_replay(self, request_id: Optional[str], op: str,

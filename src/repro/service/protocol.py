@@ -248,20 +248,20 @@ class VerifyRequest:
 
 @dataclass
 class SessionRequest:
-    """Warm-session lifecycle control for one named deployment.
+    """Session lifecycle control for one named deployment.
 
-    ``attach`` pins a :class:`~repro.solve.session.SolverSession` to
-    the deployment's worker: the encoded sub-models, dependency graphs,
-    and incumbents survive across deltas.  ``detach`` tears the session
-    down (subsequent deltas take the cold path); ``status`` reports the
-    session's telemetry without touching it.  Answered inline by the
-    broker, never queued.
+    ``attach`` pins a :class:`~repro.service.workers.SessionWorker` to
+    the deployment: a long-lived child holding a snapshot of the
+    deployer and its :class:`~repro.solve.session.SolverSession`
+    (the pinned dependency-graph memo), so deltas skip the per-request
+    fork and reuse dependency graphs.  ``detach`` tears the worker down
+    (subsequent deltas take the per-request pool); ``status`` reports
+    the session's telemetry without touching it.  Answered inline by
+    the broker, never queued.
     """
 
     deployment: str
     op: str = "status"
-    #: MILP engine warm solves run on (``highs`` or ``bnb``).
-    backend: str = "highs"
     request_id: Optional[str] = None
 
     kind = "session"
@@ -272,16 +272,11 @@ class SessionRequest:
             raise ProtocolError(
                 f"unknown session op {self.op!r}; known: {SESSION_OPS}"
             )
-        if self.backend not in ("highs", "bnb"):
-            raise ProtocolError(
-                f"unknown session backend {self.backend!r}"
-            )
 
     def to_dict(self) -> Dict[str, Any]:
         return _with_common(self, {
             "deployment": self.deployment,
             "op": self.op,
-            "backend": self.backend,
         })
 
     @classmethod
@@ -293,7 +288,6 @@ class SessionRequest:
         return cls(
             deployment=deployment,
             op=data.get("op", "status"),
-            backend=data.get("backend", "highs"),
             request_id=data.get("request_id"),
         )
 
@@ -319,7 +313,7 @@ class PingRequest:
 class HealthRequest:
     """Deep health probe: journal lag, worker liveness, queue depth.
 
-    ``deep=True`` additionally round-trips every attached warm session
+    ``deep=True`` additionally round-trips every attached session worker
     (a real liveness check of the child processes, not just
     bookkeeping).  Answered inline, never queued -- health checks must
     work *because* the daemon is busy.

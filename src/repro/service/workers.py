@@ -44,9 +44,10 @@ from ..core.verify import verify_placement
 from ..forkpipe import (CAN_FORK, Child, WorkerCrash, WorkerError, reply,
                         run_child)
 # Imported now, before the daemon starts a thread, rather than on the
-# first request: it loads every solve module a request reaches, and a
-# child forked while another thread is part-way through a module's
-# first import waits forever on that module's import lock.
+# first request: the ``repro.solve`` package loads every solve module a
+# request reaches, and a child forked while another thread is part-way
+# through a module's first import waits forever on that module's import
+# lock.
 from ..solve.session import SolverSession
 from .protocol import DeltaRequest, SolveRequest
 
@@ -203,7 +204,7 @@ def commit_delta(deployer: IncrementalDeployer, request: DeltaRequest,
     """Apply a previewed delta's placement to a live deployer.
 
     Shared by the broker (committing to the authoritative deployment)
-    and the session worker child (keeping its warm mirror in sync).
+    and the session worker child (keeping its mirror in sync).
     Returns the deployer's total installed rules after the commit.
     """
     if request.op == "install":
@@ -235,7 +236,7 @@ def verify_task(instance: PlacementInstance,
 
 
 # ---------------------------------------------------------------------------
-# Warm-session worker
+# Session worker
 # ---------------------------------------------------------------------------
 
 #: How long a closing session child gets to acknowledge its shutdown.
@@ -243,51 +244,49 @@ _SHUTDOWN_TIMEOUT = 1.0
 
 
 class SessionWorker:
-    """A long-lived worker pinned to one deployment's warm solver session.
+    """A long-lived worker pinned to one deployment's solver session.
 
-    The per-request :class:`WorkerPool` cannot host a warm session: the
-    whole point of a session is state that *survives* requests (encoded
-    model, dependency graphs, incumbents), and pool workers die with
-    their request.  A :class:`SessionWorker` is the persistent variant:
+    The per-request :class:`WorkerPool` forks per delta, and its
+    workers die with their request.  A :class:`SessionWorker` is the
+    persistent variant, for state that *survives* requests: the pinned
+    dependency-graph memo of a :class:`~repro.solve.session.SolverSession`.
 
     * ``executor="process"`` forks **one** child at attach time.  The
       fork's copy-on-write memory gives the child a snapshot of the live
-      deployer; the child attaches a
-      :class:`~repro.solve.session.SolverSession` to it and then serves
+      deployer; the child attaches a session to it and then serves
       ``preview`` / ``commit`` / ``stats`` commands over a pipe until
-      shut down.  Commits are mirrored into the child so its snapshot
+      shut down.  Previews run the deployer's usual greedy -> sub-ILP
+      ladder.  Commits are mirrored into the child so its snapshot
       tracks the authoritative deployment in the parent.  A child that
       dies or hangs surfaces as :class:`WorkerCrash` /
       :class:`TimeoutError` -- the broker's cue to discard the session
-      and rebuild it cold.
+      and rebuild it.
     * ``executor="inline"`` attaches the session directly to the live
       deployer (tests, platforms without ``fork``).  ``commit`` is a
       no-op because the mirror *is* the authority.
 
     Crash isolation is weaker than the pool's by design: a crash loses
-    the warm state but never the deployment, because the authoritative
+    the memo but never the deployment, because the authoritative
     deployer lives in the parent and is only mutated after a successful
     preview.
     """
 
     def __init__(self, deployer: IncrementalDeployer,
-                 backend: str = "highs",
                  executor: str = "process") -> None:
         if executor not in ("process", "inline"):
             raise ValueError(f"unknown executor {executor!r}")
         if not CAN_FORK:  # pragma: no cover - non-POSIX fallback
             executor = "inline"
-        self.backend = backend
         self.executor = executor
         self._lock = threading.Lock()
         self._dead = False
         self._child: Optional[Child] = None
         self._deployer: Optional[IncrementalDeployer] = None
         if executor == "process":
-            self._child = Child(_session_child_main, deployer, backend)
+            self._child = Child(_session_child_main, deployer)
         else:
             self._deployer = deployer
-            self._session = SolverSession(backend=backend)
+            self._session = SolverSession()
             deployer.attach_session(self._session)
 
     # ------------------------------------------------------------------
@@ -307,7 +306,7 @@ class SessionWorker:
     def preview(self, request: DeltaRequest,
                 time_limit: Optional[float] = None,
                 timeout: Optional[float] = None) -> Dict[str, Any]:
-        """Run one delta preview through the warm session."""
+        """Run one delta preview through the session."""
         return self._call(("preview", request, time_limit), timeout)
 
     def commit(self, request: DeltaRequest, placed,
@@ -327,7 +326,7 @@ class SessionWorker:
         self._call(("remove", ingress), timeout)
 
     def stats(self, timeout: Optional[float] = None) -> Dict[str, Any]:
-        """Session telemetry (warm hits, fallbacks, entries...)."""
+        """Session telemetry (depgraph memo hits and misses)."""
         if self.executor == "inline":
             return {"session": self._session.telemetry(),
                     "total_installed": self._deployer.total_installed()}
@@ -396,10 +395,9 @@ def _session_serve(deployer: IncrementalDeployer, session,
     raise ValueError(f"unknown session worker op {op!r}")
 
 
-def _session_child_main(conn, deployer: IncrementalDeployer,
-                        backend: str) -> None:
-    """Child entry point: hold the warm session, answer until shutdown."""
-    session = SolverSession(backend=backend)
+def _session_child_main(conn, deployer: IncrementalDeployer) -> None:
+    """Child entry point: hold the session, answer until shutdown."""
+    session = SolverSession()
     deployer.attach_session(session)
     while True:
         try:

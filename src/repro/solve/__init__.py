@@ -27,10 +27,9 @@ from .portfolio import (
     PortfolioSolver,
     resolve_backend,
 )
-from .session import SessionStats, SolverSession
+from .session import SolverSession
 
 __all__ = [
-    "SessionStats",
     "SolverSession",
     "Component",
     "objective_is_separable",

@@ -86,10 +86,6 @@ class EngineTask:
     enable_merging: bool = False
     time_limit: Optional[float] = None
     options: Dict[str, object] = field(default_factory=dict)
-    #: Optional incumbent seed ``{var index: value}`` -- a feasible
-    #: assignment (the warm session's previous placement) handed to
-    #: MILP engines for incumbent seeding / MIP start.
-    warm_start: Optional[Dict[int, float]] = None
 
 
 @dataclass(frozen=True)
@@ -208,17 +204,13 @@ def _milp_payload(encoding: IlpEncoding, result: SolveResult) -> Dict[str, objec
 
 def _run_highs(task: EngineTask) -> Dict[str, object]:
     backend = ScipyMilpBackend(**task.options)
-    result = task.encoding.model.solve(
-        backend, time_limit=task.time_limit, warm_start=task.warm_start
-    )
+    result = task.encoding.model.solve(backend, time_limit=task.time_limit)
     return _milp_payload(task.encoding, result)
 
 
 def _run_bnb(task: EngineTask) -> Dict[str, object]:
     backend = BranchAndBoundBackend(**task.options)
-    result = task.encoding.model.solve(
-        backend, time_limit=task.time_limit, warm_start=task.warm_start
-    )
+    result = task.encoding.model.solve(backend, time_limit=task.time_limit)
     return _milp_payload(task.encoding, result)
 
 
@@ -334,10 +326,8 @@ class PortfolioSolver:
         encoding: Optional[IlpEncoding] = None,
         enable_merging: bool = False,
         objective=None,
-        warm_start: Optional[Dict[int, float]] = None,
     ) -> PortfolioOutcome:
         """Race the configured engines on ``instance``."""
-        self._warm_start = warm_start
         specs = list(self.specs)
         skipped: List[EngineReport] = []
         needs_encoding = any(s.name in ("highs", "bnb") for s in specs)
@@ -388,7 +378,6 @@ class PortfolioSolver:
             enable_merging=enable_merging,
             time_limit=self.deadline,
             options=dict(self.engine_options.get(spec.name, {})),
-            warm_start=getattr(self, "_warm_start", None),
         )
 
     def _race_process(self, specs, instance, encoding, enable_merging):

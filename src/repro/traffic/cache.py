@@ -213,7 +213,7 @@ class ServiceChurnDriver:
     """Route cache deltas through the service's journaled delta path.
 
     Every promotion/eviction becomes a :class:`DeltaRequest` against a
-    named deployment, so warm sessions, the write-ahead journal, and
+    named deployment, so sessions, the write-ahead journal, and
     the metrics all see the churn.  A local *shadow* deployer applies
     the same operations in lock-step; after each committed delta the
     service's returned ``state_digest`` must equal the shadow's --

@@ -254,70 +254,3 @@ class TestPortfolioDifferential:
         assert telemetry["engines"]["hostile"]["outcome"] == "crashed", (
             f"seed={seed}"
         )
-
-
-# ---------------------------------------------------------------------------
-# Warm-session axis: warm patched models vs cold re-encodes
-# ---------------------------------------------------------------------------
-
-_WARM_SEEDS = (_CAMPAIGN_SEEDS
-               if os.environ.get("REPRO_FUZZ_WARM") == "1"
-               else range(5))
-
-
-class TestWarmSessionAxis:
-    """The fuzz campaign's warm-vs-cold axis (``REPRO_FUZZ_WARM=1``
-    widens it to every campaign seed): on the *large* random scenario
-    family -- fat-trees, flow slicing, shared blacklists -- a warm
-    :class:`~repro.solve.session.SolverSession` must answer every
-    incremental delta exactly like the cold re-encoding path."""
-
-    @pytest.mark.parametrize("seed", _WARM_SEEDS)
-    def test_warm_session_matches_cold_deltas(self, seed):
-        from repro.core.incremental import IncrementalDeployer
-        from repro.core.verify import verify_placement
-        from repro.solve.session import SolverSession
-
-        rng = random.Random(90_000 + seed)
-        instance = build_random_scenario(seed)
-        base = RulePlacer().place(instance)
-        if not base.is_feasible:
-            pytest.skip(f"seed {seed}: base instance infeasible")
-
-        session = SolverSession()
-        warm = IncrementalDeployer(base)
-        warm.attach_session(session)
-        cold = IncrementalDeployer(base)
-        router = ShortestPathRouter(instance.topology, seed=seed + 7)
-
-        steps = 0
-        for _ in range(6):
-            ingresses = list(warm._state)
-            if not ingresses:
-                break
-            ingress = rng.choice(ingresses)
-            routing = router.random_routing(rng.randint(1, 3),
-                                            ingresses=[ingress])
-            new_paths = routing.paths(ingress)
-            if not new_paths:
-                continue
-            try_greedy = rng.random() < 0.5
-            warm_r = warm.preview_reroute(ingress, new_paths,
-                                          try_greedy=try_greedy)
-            cold_r = cold.preview_reroute(ingress, new_paths,
-                                          try_greedy=try_greedy)
-            ctx = f"seed={seed} ingress={ingress!r}"
-            assert (warm_r.status.has_solution
-                    == cold_r.status.has_solution), (
-                f"{ctx}: warm={warm_r.status} cold={cold_r.status}")
-            if (warm_r.is_feasible and warm_r.method == "ilp"
-                    and cold_r.method == "ilp"):
-                assert warm_r.installed_rules == cold_r.installed_rules, ctx
-            if warm_r.is_feasible:
-                warm.apply_reroute(ingress, new_paths, warm_r.placed)
-                cold.apply_reroute(ingress, new_paths, warm_r.placed)
-                steps += 1
-        if steps:
-            assert verify_placement(warm.as_placement()).ok
-        telemetry = session.telemetry()
-        assert telemetry["fallbacks"] == 0, (seed, telemetry)

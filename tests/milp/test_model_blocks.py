@@ -33,12 +33,12 @@ def block_model():
     z = model.add_binary("z")
     model.add_linear_block(
         rows=[0, 0, 1, 1], cols=[x.index, y.index, y.index, z.index],
-        data=[1.0, 1.0, 1.0, 1.0], senses=Sense.GE, rhs=[1.0, 1.0],
+        data=[1.0, 1.0, 1.0, 1.0], sense=Sense.GE, rhs=[1.0, 1.0],
         name_prefix="cover",
     )
     model.add_linear_block(
         rows=[0, 0, 0], cols=[x.index, y.index, z.index],
-        data=[1.0, 1.0, 1.0], senses=[Sense.LE], rhs=[2.0],
+        data=[1.0, 1.0, 1.0], sense=Sense.LE, rhs=[2.0],
     )
     model.set_objective(x + y + z)
     return model, (x, y, z)
@@ -70,7 +70,7 @@ class TestBlockSemantics:
         x = model.add_binary("x")
         block = model.add_linear_block(
             rows=[0, 0], cols=[x.index, x.index], data=[1.0, 1.0],
-            senses=Sense.LE, rhs=[1.0],
+            sense=Sense.LE, rhs=[1.0],
         )
         (con,) = block.to_constraints()
         assert con.expr.coeffs == {x.index: 2.0}

@@ -188,13 +188,13 @@ class TestSessionRequest:
         from repro.service.protocol import SessionRequest
 
         request = SessionRequest(deployment="prod", op="attach",
-                                 backend="bnb", request_id="s1")
+                                 request_id="s1")
         decoded = decode_request(encode_request(request))
         assert isinstance(decoded, SessionRequest)
         assert decoded.deployment == "prod"
         assert decoded.op == "attach"
-        assert decoded.backend == "bnb"
         assert decoded.request_id == "s1"
+        assert "backend" not in json.loads(encode_request(request))
 
     def test_defaults(self):
         from repro.service.protocol import SessionRequest
@@ -202,15 +202,17 @@ class TestSessionRequest:
         decoded = decode_request(json.dumps(
             {"kind": "session", "deployment": "prod"}))
         assert decoded.op == "status"
-        assert decoded.backend == "highs"
+        # Older clients still send a session backend; it is ignored.
+        decoded = decode_request(json.dumps(
+            {"kind": "session", "deployment": "prod", "op": "attach",
+             "backend": "bnb"}))
+        assert decoded == SessionRequest(deployment="prod", op="attach")
 
     def test_validation(self):
         from repro.service.protocol import SessionRequest
 
         with pytest.raises(ProtocolError):
             SessionRequest(deployment="prod", op="explode")
-        with pytest.raises(ProtocolError):
-            SessionRequest(deployment="prod", backend="cplex")
         with pytest.raises(ProtocolError):
             decode_request(json.dumps({"kind": "session"}))
 

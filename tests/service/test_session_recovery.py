@@ -1,11 +1,11 @@
-"""Crash recovery for warm session workers.
+"""Crash recovery for session workers.
 
-The warm session is an optimization, never a correctness or
-availability dependency: killing the worker process that holds a live
-session must cost only the warm state.  The broker detects the death,
-rebuilds the session cold from the authoritative deployer (which lives
-in the broker, not the worker), and the next delta answers correctly
--- matching a cold-path oracle replaying the same stream.
+A session is an optimization, never a correctness or availability
+dependency: killing the worker process that holds a live session must
+cost only the worker and its depgraph memo.  The broker detects the
+death, rebuilds the session from the authoritative deployer (which
+lives in the broker, not the worker), and the next delta answers
+correctly -- matching a session-less oracle replaying the same stream.
 """
 
 from __future__ import annotations
@@ -17,16 +17,20 @@ import time
 import pytest
 
 from repro import io as repro_io
+from repro.core.incremental import IncrementalDeployer
+from repro.core.placement import RulePlacer
 from repro.experiments.generators import ExperimentConfig, build_instance
 from repro.net.routing import Routing, ShortestPathRouter
 from repro.policy.classbench import generate_policy_set
 from repro.service import PlacementService, ServiceConfig
+from repro.service.journal import Journal
 from repro.service.protocol import (
     DeltaRequest,
     ResponseStatus,
     SessionRequest,
     SolveRequest,
 )
+from repro.service.workers import commit_delta
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +132,7 @@ class TestSessionCrashRecovery:
         _kill(worker)
         assert not worker.alive
 
-        # The next delta finds the corpse, rebuilds the session cold
+        # The next delta finds the corpse, rebuilds the session
         # from the authoritative deployer, and still answers.
         second = svc.handle(deltas[1], timeout=120.0)
         assert second.ok, second.error
@@ -137,7 +141,7 @@ class TestSessionCrashRecovery:
         rebuilds = svc.metrics.counter("session_rebuilds_total").value
         assert rebuilds >= 1
 
-        # The rebuilt session keeps serving warm afterwards.
+        # The rebuilt session keeps serving afterwards.
         third = svc.handle(deltas[2], timeout=120.0)
         assert third.ok and third.served == "session"
         _check_against_oracle(third, oracle.handle(deltas[2],
@@ -179,7 +183,7 @@ class TestSessionCrashRecovery:
         assert svc.metrics.counter("worker_crashes_total").value >= 1
 
         # Heal the module; the poisoned forks are gone, the latest
-        # rebuild (made after the undo) serves warm again.
+        # rebuild (made after the undo) serves again.
         monkeypatch.undo()
         second = svc.handle(deltas[1], timeout=120.0)
         assert second.ok, second.error
@@ -206,3 +210,61 @@ class TestSessionCrashRecovery:
         response = forked_service.handle(
             SessionRequest(deployment="nope", op="attach"), timeout=30.0)
         assert response.status == ResponseStatus.BAD_REQUEST
+
+
+def _legacy_journal(directory, instance):
+    """Write a journal the way daemons with a session ``backend`` knob
+    did: the snapshot's deployment carries ``session_backend`` and the
+    session records after it carry ``backend``.  Returns the deployment
+    digest those daemons acknowledged last."""
+    deployer = IncrementalDeployer(RulePlacer().place(instance))
+    placement = deployer.as_placement()
+    journal = Journal(directory, durability="flush")
+    journal.recover()
+    journal.commit("deploy", {
+        "name": "prod", "instance": repro_io.instance_to_dict(instance),
+        "placement": repro_io.placement_to_dict(placement),
+        "request_id": None})
+    journal.snapshot(lambda: {
+        "deployments": [{
+            "name": "prod",
+            "instance": repro_io.instance_to_dict(placement.instance),
+            "placement": repro_io.placement_to_dict(placement),
+            "session_desired": True, "session_backend": "bnb",
+            "quarantined": False}],
+        "epochs": {"policy": 0, "topology": 0}, "applied": []})
+    for op in ("detach", "attach"):
+        journal.commit("session", {"deployment": "prod", "op": op,
+                                   "backend": "bnb", "request_id": None})
+    install = _delta_requests(instance)[0]
+    result = deployer.preview_install(
+        repro_io.policy_from_dict(install.policy),
+        repro_io.paths_from_dict(install.paths))
+    commit_delta(deployer, install, result.placed)
+    journal.commit("delta", {
+        "deployment": "prod", "request": install.to_dict(),
+        "placed": [{"ingress": key[0], "priority": key[1],
+                    "switches": sorted(switches)}
+                   for key, switches in sorted(result.placed.items())]})
+    journal.close()
+    return deployer.state_digest()
+
+
+class TestLegacyJournal:
+    def test_session_backend_keys_are_ignored(self, instance, tmp_path):
+        """A journal that still names a session backend recovers: the
+        session re-attaches, serves the next delta, and the deployment
+        is digest-identical to the one before the restart."""
+        before = _legacy_journal(str(tmp_path), instance)
+        with PlacementService(ServiceConfig(
+                executor="process", journal_dir=str(tmp_path),
+                durability="flush", supervise=False)) as svc:
+            assert svc.last_recovery["sessions"] == 1
+            assert svc.broker.deployment_digest("prod") == before
+            status = svc.handle(SessionRequest(deployment="prod",
+                                               op="status"), timeout=30.0)
+            assert status.ok and status.result["attached"]
+            reroute = _delta_requests(instance)[1]
+            answer = svc.handle(reroute, timeout=120.0)
+            assert answer.ok, answer.error
+            assert answer.served == "session"

@@ -88,8 +88,13 @@ _SERVE_EVERY_KIND = """
 import json, sys
 import repro.service
 from repro import io as repro_io
+from repro.core.instance import PlacementInstance
 from repro.experiments.generators import ExperimentConfig, build_instance
-from repro.net.routing import Routing
+from repro.net.routing import Path, Routing
+from repro.net.topology import Topology
+from repro.policy.policy import Policy, PolicySet
+from repro.policy.rule import Action, Rule
+from repro.policy.ternary import TernaryMatch
 from repro.service import PlacementService, ServiceConfig
 from repro.service.protocol import (
     DeltaRequest, SessionRequest, SolveRequest, VerifyRequest)
@@ -101,6 +106,25 @@ reroute = DeltaRequest(
     deployment="prod", op="reroute", ingress=ingress,
     paths=repro_io.routing_to_dict(
         Routing(instance.routing.paths(ingress))))
+
+# Two unit-capacity switches: greedy spends s1 on the 00-drop and has no
+# room left for the 01-drop that only fits on s1, so the session's
+# sub-ILP answers (00 on s2, 01 on s1).
+topo = Topology()
+for switch in ("s1", "s2"):
+    topo.add_switch(switch, 1)
+topo.add_link("s1", "s2")
+for port, switch in (("in1", "s1"), ("out1", "s2"), ("out2", "s1")):
+    topo.add_entry_port(port, switch)
+empty = PlacementInstance(topo, Routing(), PolicySet())
+flow = TernaryMatch.from_string
+greedy_refuses = DeltaRequest(
+    deployment="tight", op="install", ingress="in1",
+    policy=repro_io.policy_to_dict(Policy("in1", [
+        Rule(flow("00"), Action.DROP, 1), Rule(flow("01"), Action.DROP, 2)])),
+    paths=repro_io.routing_to_dict(Routing([
+        Path("in1", "out1", ("s1", "s2"), flow("00")),
+        Path("in1", "out2", ("s1",), flow("01"))])))
 before = set(sys.modules)
 for executor in ("inline", "process"):
     with PlacementService(ServiceConfig(executor=executor)) as service:
@@ -115,6 +139,13 @@ for executor in ("inline", "process"):
             instance, solved.result["placement"]), timeout=120).ok
         assert service.handle(SolveRequest(instance, backend="portfolio"),
                               timeout=120).ok
+        assert service.handle(SolveRequest(empty, deploy_as="tight"),
+                              timeout=120).ok
+        assert service.handle(SessionRequest(
+            deployment="tight", op="attach"), timeout=120).ok
+        answer = service.handle(greedy_refuses, timeout=120)
+        assert answer.ok, answer.error
+        assert (answer.served, answer.result["method"]) == ("session", "ilp")
 print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
