@@ -20,10 +20,12 @@ since.  ``as_placement()`` exports the combined state for verification.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
+from ..digest import framed
 from ..milp.model import SolveStatus
 from ..net.routing import Path, Routing
 from ..net.topology import Topology
@@ -76,6 +78,10 @@ class IncrementalDeployer:
         #: Current per-ingress state: (policy, paths, placed-map).
         self._state: Dict[str, Tuple[Policy, Tuple[Path, ...], Dict[RuleKey, FrozenSet[str]]]] = {}
         self._loads: Dict[str, int] = {}
+        #: Per ingress, the :func:`~repro.digest.framed` bytes of its
+        #: paths and placed map in :meth:`state_digest`.  Built on
+        #: demand; every write to ``_state[ingress]`` drops the entry.
+        self._framed: Dict[str, bytes] = {}
         for policy in base.instance.policies:
             paths = base.instance.routing.paths(policy.ingress)
             placed = {
@@ -158,25 +164,25 @@ class IncrementalDeployer:
         Two deployers with equal digests are observably identical, so
         this is the recovery oracle: a journal replay is correct iff it
         reproduces the pre-crash digest.
-        """
-        from ..digest import canonical_digest
 
-        parts = []
+        The value is :func:`~repro.digest.canonical_digest` of that flat
+        part stream.  Only the ingresses written since the last call are
+        re-framed: the rest hash their kept bytes.  The policy part is
+        read here, from the memoized ``content_digest()``, so an
+        in-place ``add_rule`` on a deployed policy still shows.
+        """
+        hasher = hashlib.sha256()
         for ingress in sorted(self._state):
             policy, paths, placed = self._state[ingress]
-            parts.append(f"policy:{ingress}:{policy.content_digest()}")
-            for path in paths:
-                flow = "-" if path.flow is None else path.flow.to_string()
-                parts.append(
-                    f"path:{path.ingress}:{path.egress}:"
-                    f"{','.join(path.switches)}:{flow}"
-                )
-            for key in sorted(placed):
-                parts.append(
-                    f"placed:{key[0]}:{key[1]}:"
-                    f"{','.join(sorted(placed[key]))}"
-                )
-        return canonical_digest(parts)
+            for chunk in framed(
+                    (f"policy:{ingress}:{policy.content_digest()}",)):
+                hasher.update(chunk)
+            body = self._framed.get(ingress)
+            if body is None:
+                body = self._framed[ingress] = b"".join(
+                    framed(_placement_parts(paths, placed)))
+            hasher.update(body)
+        return hasher.hexdigest()
 
     def as_placement(self) -> Placement:
         """Export the combined current state for verification."""
@@ -349,6 +355,7 @@ class IncrementalDeployer:
     def _commit(self, policy: Policy, paths: Sequence[Path],
                 placed: Dict[RuleKey, FrozenSet[str]]) -> None:
         self._state[policy.ingress] = (policy, tuple(paths), dict(placed))
+        self._framed.pop(policy.ingress, None)
         for switches in placed.values():
             for switch in switches:
                 self._loads[switch] = self._loads.get(switch, 0) + 1
@@ -360,6 +367,7 @@ class IncrementalDeployer:
             policy, paths, placed = self._state.pop(ingress)
         except KeyError:
             raise ValueError(f"no deployed policy for {ingress!r}") from None
+        self._framed.pop(ingress, None)
         for switches in placed.values():
             for switch in switches:
                 self._loads[switch] -= 1
@@ -370,6 +378,7 @@ class IncrementalDeployer:
                  placed: Dict[RuleKey, FrozenSet[str]]) -> None:
         """Undo a :meth:`_release` exactly."""
         self._state[ingress] = (policy, paths, placed)
+        self._framed.pop(ingress, None)
         for switches in placed.values():
             for switch in switches:
                 self._loads[switch] = self._loads.get(switch, 0) + 1
@@ -388,14 +397,12 @@ class IncrementalDeployer:
         ingress = policy.ingress
         spare = self.spare_capacities()
         placed: Dict[RuleKey, set] = {}
-
-        def rules_at(switch: str) -> set:
-            return {key for key, switches in placed.items() if switch in switches}
+        # ``placed`` inverted: per switch, the keys this call put there.
+        at: Dict[str, set] = {}
+        drops = [rule for rule in policy.sorted_rules() if rule.is_drop]
 
         for path in paths:
-            for rule in policy.sorted_rules():
-                if not rule.is_drop:
-                    continue
+            for rule in drops:
                 if path.flow is not None and not rule.match.intersects(path.flow):
                     continue
                 drop_key = (ingress, rule.priority)
@@ -409,17 +416,16 @@ class IncrementalDeployer:
                 ]
                 chosen = None
                 for switch in path.switches:
-                    here = rules_at(switch)
+                    here = at.get(switch, ())
                     new_rules = [key for key in closure if key not in here]
                     if len(new_rules) <= spare[switch]:
                         chosen = switch
                         break
                 if chosen is None:
                     return None
-                here = rules_at(chosen)
+                spare[chosen] -= len(new_rules)
+                at.setdefault(chosen, set()).update(closure)
                 for key in closure:
-                    if key not in here:
-                        spare[chosen] -= 1
                     placed.setdefault(key, set()).add(chosen)
         return {key: frozenset(switches) for key, switches in placed.items()}
 
@@ -451,3 +457,14 @@ class IncrementalDeployer:
         if isinstance(compile_stats, dict):
             result.solver_stats["compile"] = dict(compile_stats)
         return result
+
+
+def _placement_parts(paths: Sequence[Path],
+                     placed: Dict[RuleKey, FrozenSet[str]]):
+    """One ingress's path and placed parts of the state digest stream."""
+    for path in paths:
+        flow = "-" if path.flow is None else path.flow.to_string()
+        yield (f"path:{path.ingress}:{path.egress}:"
+               f"{','.join(path.switches)}:{flow}")
+    for key in sorted(placed):
+        yield f"placed:{key[0]}:{key[1]}:{','.join(sorted(placed[key]))}"

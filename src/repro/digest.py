@@ -18,7 +18,7 @@ Equal content implies equal digest across processes and sessions.
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .net.routing import Routing
@@ -26,25 +26,35 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "canonical_digest",
+    "framed",
     "routing_parts",
     "topology_parts",
 ]
 
 
-def canonical_digest(parts: Iterable[str]) -> str:
-    """sha256 over a part stream, each part length-framed.
+def framed(parts: Iterable[str]) -> Iterator[bytes]:
+    """The byte chunks :func:`canonical_digest` hashes for a part stream.
 
-    Length framing (``len|part``) keeps the digest injective over the
-    part sequence: ``("ab", "c")`` and ``("a", "bc")`` hash differently,
-    which plain concatenation or separator joining cannot guarantee
-    when parts may contain the separator.
+    Each part is UTF-8 encoded and length-framed (``len|part``), which
+    keeps the digest injective over the part sequence: ``("ab", "c")``
+    and ``("a", "bc")`` hash differently, which plain concatenation or
+    separator joining cannot guarantee when parts may contain the
+    separator.  Framing is per part, so the framed bytes of a stream
+    are the concatenation of its runs' framed bytes: a caller may keep
+    the framing of a run that rarely changes and feed it to sha256 in
+    place of re-framing the parts.
     """
-    hasher = hashlib.sha256()
     for part in parts:
         encoded = part.encode("utf-8")
-        hasher.update(str(len(encoded)).encode("ascii"))
-        hasher.update(b"|")
-        hasher.update(encoded)
+        yield b"%d|" % len(encoded)
+        yield encoded
+
+
+def canonical_digest(parts: Iterable[str]) -> str:
+    """sha256 over a part stream's :func:`framed` chunks."""
+    hasher = hashlib.sha256()
+    for chunk in framed(parts):
+        hasher.update(chunk)
     return hasher.hexdigest()
 
 

@@ -760,24 +760,24 @@ class Broker:
         waited = self.clock() - flight.admitted_at
         self._h_queue_wait.observe(waited)
 
-        remaining: Optional[float] = None
-        if request.deadline is not None:
-            remaining = request.deadline - waited
-            if remaining <= 0:
-                self._c_expired.inc()
-                self._finish(None, flight, Response(
-                    status=ResponseStatus.DEADLINE_EXCEEDED, kind=kind,
-                    request_id=request.request_id,
-                    error=f"deadline ({request.deadline:.3f}s) passed "
-                          f"after {waited:.3f}s in queue",
-                ), kind, flight.admitted_at)
-                return
-
         self._g_busy.inc()
         with self._lock:
             self._busy_count += 1
         try:
-            if isinstance(request, SolveRequest):
+            # Inside the try: a deadline that is not a number (an
+            # in-process caller skips the wire decoder) answers ERROR
+            # instead of killing this dispatcher.
+            remaining: Optional[float] = None
+            if request.deadline is not None:
+                remaining = request.deadline - waited
+            if remaining is not None and remaining <= 0:
+                self._c_expired.inc()
+                response = Response(
+                    status=ResponseStatus.DEADLINE_EXCEEDED, kind=kind,
+                    error=f"deadline ({request.deadline:.3f}s) passed "
+                          f"after {waited:.3f}s in queue",
+                )
+            elif isinstance(request, SolveRequest):
                 response = self._run_solve(request, remaining)
             elif isinstance(request, DeltaRequest):
                 response = self._run_delta(request, remaining)
@@ -788,7 +788,7 @@ class Broker:
                     status=ResponseStatus.BAD_REQUEST, kind=kind,
                     error=f"broker cannot execute kind {kind!r}",
                 )
-        except Exception as exc:  # pragma: no cover - defensive net
+        except Exception as exc:  # defensive net: the thread must live
             response = Response(
                 status=ResponseStatus.ERROR, kind=kind,
                 error=f"dispatcher failure: {type(exc).__name__}: {exc}",

@@ -205,7 +205,10 @@ class PlacementService:
             session_desired.discard(data["name"])
             report["deployments"] += 1
         elif record.kind == "delta":
-            request = DeltaRequest.from_dict(data["request"])
+            # A replayed delta's deadline is spent.  Older daemons
+            # journaled it as sent, which the decoder may now refuse.
+            request = DeltaRequest.from_dict(
+                dict(data["request"], deadline=None))
             deployer = self.broker.deployment_deployer(data["deployment"])
             placed = {
                 (entry["ingress"], entry["priority"]):

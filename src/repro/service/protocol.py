@@ -36,6 +36,7 @@ repeats without solving.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -148,7 +149,7 @@ class SolveRequest:
             objective=data.get("objective", "rules"),
             merging=bool(data.get("merging", False)),
             backend=data.get("backend", "highs"),
-            deadline=data.get("deadline"),
+            deadline=_deadline_from(data),
             deploy_as=data.get("deploy_as"),
             request_id=data.get("request_id"),
         )
@@ -208,7 +209,7 @@ class DeltaRequest:
             ingress=data.get("ingress"),
             policy=data.get("policy"),
             paths=data.get("paths"),
-            deadline=data.get("deadline"),
+            deadline=_deadline_from(data),
             request_id=data.get("request_id"),
         )
 
@@ -241,7 +242,7 @@ class VerifyRequest:
         return cls(
             instance=_instance_from(data),
             placement=placement,
-            deadline=data.get("deadline"),
+            deadline=_deadline_from(data),
             request_id=data.get("request_id"),
         )
 
@@ -504,12 +505,12 @@ def decode_request(line: str) -> Request:
     if not isinstance(data, dict):
         raise ProtocolError("request must be a JSON object")
     kind = data.get("kind")
-    try:
-        request_cls = _REQUEST_TYPES[kind]
-    except KeyError:
+    # A list or dict kind is unhashable: look up strings only.
+    request_cls = _REQUEST_TYPES.get(kind) if isinstance(kind, str) else None
+    if request_cls is None:
         raise ProtocolError(
             f"unknown request kind {kind!r}; known: {sorted(_REQUEST_TYPES)}"
-        ) from None
+        )
     try:
         return request_cls.from_dict(data)
     except ProtocolError:
@@ -565,6 +566,23 @@ def _with_common(request: Request, data: Dict[str, Any]) -> Dict[str, Any]:
     if request.request_id is not None:
         data["request_id"] = request.request_id
     return data
+
+
+def _deadline_from(data: Dict[str, Any]) -> Optional[float]:
+    """A request's ``deadline``: absent or null, or a finite,
+    non-negative number of seconds (a bool is not a number here)."""
+    deadline = data.get("deadline")
+    if deadline is None:
+        return None
+    if isinstance(deadline, (int, float)) and not isinstance(deadline, bool):
+        try:
+            if math.isfinite(deadline) and deadline >= 0:
+                return deadline
+        except OverflowError:  # an int too large for a float
+            pass
+    raise ProtocolError(
+        f"deadline must be a finite, non-negative number of seconds, "
+        f"got {deadline!r}")
 
 
 def _instance_from(data: Dict[str, Any]) -> PlacementInstance:

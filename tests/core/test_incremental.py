@@ -2,17 +2,25 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro.core.incremental import IncrementalDeployer
+from repro.core.depgraph import build_dependency_graph
+from repro.core.incremental import IncrementalDeployer, IncrementalResult
 from repro.core.instance import PlacementInstance
 from repro.core.placement import Placement, RulePlacer
 from repro.core.verify import verify_placement
+from repro.digest import canonical_digest
 from repro.milp.model import SolveStatus
 from repro.net.fattree import fattree
 from repro.net.topology import Topology
 from repro.net.routing import Path, Routing, ShortestPathRouter
-from repro.policy.classbench import generate_policy_set
+from repro.policy.classbench import (
+    PolicyGenerator,
+    PolicyGeneratorConfig,
+    generate_policy_set,
+)
 from repro.policy.policy import Policy, PolicySet
 from repro.policy.rule import Action, Rule
 from repro.policy.ternary import TernaryMatch
@@ -536,3 +544,308 @@ class TestChurnCycles:
         result = deployer.install_policy(policy, [path], try_greedy=False)
         assert result.is_feasible
         assert verify_placement(deployer.as_placement()).ok
+
+
+# ---------------------------------------------------------------------------
+# The indexed greedy and the per-ingress digest bytes against references
+# ---------------------------------------------------------------------------
+
+
+def _reference_greedy_place(deployer, policy, paths, graph=None):
+    """``IncrementalDeployer._greedy_place`` before its per-switch
+    index: ``rules_at`` rescans the map being built, and the rules are
+    re-sorted for every path.  The reference the indexed greedy must
+    match exactly, refusals (``None``) included."""
+    if graph is None:
+        graph = build_dependency_graph(policy)
+    ingress = policy.ingress
+    spare = deployer.spare_capacities()
+    placed = {}
+
+    def rules_at(switch):
+        return {key for key, switches in placed.items() if switch in switches}
+
+    for path in paths:
+        for rule in policy.sorted_rules():
+            if not rule.is_drop:
+                continue
+            if path.flow is not None and not rule.match.intersects(path.flow):
+                continue
+            drop_key = (ingress, rule.priority)
+            if any(
+                switch in path.switches
+                for switch in placed.get(drop_key, ())
+            ):
+                continue
+            closure = [
+                (ingress, priority) for priority in graph.closure(rule.priority)
+            ]
+            chosen = None
+            for switch in path.switches:
+                here = rules_at(switch)
+                new_rules = [key for key in closure if key not in here]
+                if len(new_rules) <= spare[switch]:
+                    chosen = switch
+                    break
+            if chosen is None:
+                return None
+            here = rules_at(chosen)
+            for key in closure:
+                if key not in here:
+                    spare[chosen] -= 1
+                placed.setdefault(key, set()).add(chosen)
+    return {key: frozenset(switches) for key, switches in placed.items()}
+
+
+def _reference_state_digest(deployer):
+    """``state_digest`` as one flat part stream through
+    :func:`canonical_digest`, re-framing every ingress every call."""
+    parts = []
+    for ingress in sorted(deployer._state):
+        policy, paths, placed = deployer._state[ingress]
+        parts.append(f"policy:{ingress}:{policy.content_digest()}")
+        for path in paths:
+            flow = "-" if path.flow is None else path.flow.to_string()
+            parts.append(
+                f"path:{path.ingress}:{path.egress}:"
+                f"{','.join(path.switches)}:{flow}"
+            )
+        for key in sorted(placed):
+            parts.append(
+                f"placed:{key[0]}:{key[1]}:"
+                f"{','.join(sorted(placed[key]))}"
+            )
+    return canonical_digest(parts)
+
+
+class _DeltaStream:
+    """A seeded stream of installs, reroutes, modifies and removes on a
+    k=4 fat-tree whose switches hold 1 to 6 rules, so greedy often
+    refuses.  Each ingress routes on 1-3 paths from one edge switch,
+    which therefore share switches; some paths carry flows."""
+
+    INGRESSES = 6
+
+    def __init__(self, seed: int) -> None:
+        self.rng = random.Random(seed)
+        topo = fattree(4, capacity=self.rng.choice((1, 2, 3, 6)))
+        self.ports = [p.name for p in topo.entry_ports]
+        self.router = ShortestPathRouter(topo, seed=seed)
+        empty = PlacementInstance(topo, Routing(), PolicySet())
+        self.deployer = IncrementalDeployer(
+            Placement(instance=empty, status=SolveStatus.FEASIBLE))
+
+    def policy(self, ingress: str) -> Policy:
+        config = PolicyGeneratorConfig(num_rules=self.rng.randint(4, 16))
+        return PolicyGenerator(config, seed=self.rng.getrandbits(31)) \
+            .generate_policy(ingress)
+
+    def paths(self, policy: Policy):
+        others = [p for p in self.ports if p != policy.ingress]
+        paths = []
+        for egress in self.rng.sample(others, self.rng.randint(1, 3)):
+            path = self.router.shortest_path(policy.ingress, egress)
+            if self.rng.random() < 0.4:
+                path = path.with_flow(self.rng.choice(policy.rules).match)
+            paths.append(path)
+        return paths
+
+    def step(self) -> None:
+        """Apply one random operation."""
+        deployer = self.deployer
+        ingress = self.rng.choice(self.ports[:self.INGRESSES])
+        if not deployer.has_policy(ingress):
+            policy = self.policy(ingress)
+            deployer.install_policy(policy, self.paths(policy))
+            return
+        op = self.rng.choice(("reroute", "modify", "remove",
+                              "preview-reroute", "preview-modify"))
+        deployed = deployer.deployed_policy(ingress)
+        if op.endswith("reroute"):
+            paths = self.paths(deployed)
+            if op == "reroute":
+                deployer.reroute_policy(ingress, paths)
+            else:
+                deployer.preview_reroute(ingress, paths)
+        elif op.endswith("modify"):
+            policy = self.policy(ingress)
+            if op == "modify":
+                deployer.modify_policy(policy)
+            else:
+                deployer.preview_modify(policy)
+        else:
+            deployer.remove_policy(ingress)
+
+
+def _refuse_sub_ilp(policy, paths, time_limit, depgraphs=None):
+    return IncrementalResult(SolveStatus.INFEASIBLE, "ilp", 0.0)
+
+
+def _checked_greedy_stream(seed: int):
+    """Run a seeded stream, checking every greedy call against
+    :func:`_reference_greedy_place`; returns each call's answer and
+    paths.  The sub-ILP is stubbed to refuse, so a greedy refusal costs
+    nothing and is simply not committed."""
+    stream = _DeltaStream(seed)
+    deployer = stream.deployer
+    indexed = deployer._greedy_place
+    calls = []
+
+    def checked(policy, paths, graph=None):
+        got = indexed(policy, paths, graph)
+        assert got == _reference_greedy_place(deployer, policy, paths,
+                                              graph), (seed, len(calls))
+        calls.append((got, paths))
+        return got
+
+    deployer._greedy_place = checked
+    deployer._sub_ilp = _refuse_sub_ilp
+    for _ in range(30):
+        stream.step()
+    return calls
+
+
+class TestIndexedGreedy:
+    """The per-switch index changes no greedy answer.
+
+    The session differential cannot see a greedy change: both of its
+    sides run the same greedy.  So every greedy call of a seeded stream
+    is checked against the pre-index implementation kept above.
+    """
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_same_answer_as_reference_at_every_call(self, seed):
+        assert _checked_greedy_stream(seed)
+
+    def test_streams_reach_shared_switches_flows_and_refusals(self):
+        """The streams reach what the index must get right: closures
+        sharing a switch, flowed paths, and refusals."""
+        calls = [call for seed in range(24)
+                 for call in _checked_greedy_stream(seed)]
+        refusals = sum(placed is None for placed, _paths in calls)
+        flowed = sum(any(path.flow is not None for path in paths)
+                     for _placed, paths in calls)
+        shared = 0
+        for placed, _paths in calls:
+            switches = [switch for where in (placed or {}).values()
+                        for switch in where]
+            shared += len(switches) > len(set(switches))
+        assert len(calls) >= 500
+        assert refusals >= 100
+        assert flowed >= 200
+        assert shared >= 150
+
+
+class TestStateDigestBytes:
+    """``state_digest`` hashes kept per-ingress bytes; its value must
+    stay the flat part stream's canonical digest after every write."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_flat_stream_after_every_step(self, seed):
+        stream = _DeltaStream(seed)
+        deployer = stream.deployer
+        assert deployer.state_digest() == _reference_state_digest(deployer)
+        for _ in range(25):
+            stream.step()
+            assert deployer.state_digest() == \
+                _reference_state_digest(deployer)
+            deployed = [p for p in stream.ports[:stream.INGRESSES]
+                        if deployer.has_policy(p)]
+            if deployed and stream.rng.random() < 0.3:
+                # An in-place edit of a deployed policy writes no state
+                # the deployer sees, yet must change the digest.
+                policy = deployer.deployed_policy(stream.rng.choice(deployed))
+                before = deployer.state_digest()
+                extra = Rule(policy.rules[0].match, Action.DROP,
+                             policy.next_priority_above())
+                policy.add_rule(extra)
+                assert deployer.state_digest() != before
+                assert deployer.state_digest() == \
+                    _reference_state_digest(deployer)
+                policy.remove_rule(extra)
+                assert deployer.state_digest() == before
+
+    def test_previews_and_reinstalls(self, deployed_network):
+        """Greedy and infeasible previews (release, then restore),
+        commits, removes and re-installs of one ingress."""
+        topo, router, ports, base = deployed_network
+        deployer = IncrementalDeployer(base)
+        ingress = next(iter(base.instance.policies)).ingress
+        newcomer = generate_policy_set(
+            [ports[10]], rules_per_policy=8, seed=11)[ports[10]]
+        path = router.shortest_path(ports[10], ports[0])
+
+        def check():
+            assert deployer.state_digest() == \
+                _reference_state_digest(deployer)
+
+        check()
+        assert deployer.preview_reroute(
+            ingress, [router.shortest_path(ingress, ports[0])]).is_feasible
+        check()
+        installed = deployer.install_policy(newcomer, [path])
+        assert installed.is_feasible
+        check()
+        # No spare slot anywhere: a larger policy fits nowhere.
+        for switch in deployer.spare_capacities():
+            deployer.base_capacities[switch] -= deployer.spare_capacity(switch)
+        refused = deployer.preview_modify(generate_policy_set(
+            [ingress], rules_per_policy=40, seed=3)[ingress])
+        assert not refused.is_feasible
+        check()
+        for _ in range(3):
+            deployer.remove_policy(newcomer.ingress)
+            check()
+            deployer.commit_install(newcomer, [path], installed.placed)
+            check()
+
+
+def _golden_deployment() -> IncrementalDeployer:
+    """Two policies on three switches, written out by hand: the digest
+    depends on nothing but these literals."""
+    topo = Topology()
+    for name in ("s1", "s2", "s3"):
+        topo.add_switch(name, 4)
+    topo.add_link("s1", "s2")
+    topo.add_link("s2", "s3")
+    topo.add_entry_port("in1", "s1")
+    topo.add_entry_port("in2", "s3")
+    topo.add_entry_port("out", "s2")
+    first = Policy("in1", [
+        rule("1*0", Action.PERMIT, 3),
+        rule("1**", Action.DROP, 2),
+        rule("0*1", Action.DROP, 1),
+    ])
+    second = Policy("in2", [
+        rule("01*", Action.DROP, 2),
+        rule("0**", Action.PERMIT, 1),
+    ], default_action=Action.DROP)
+    routing = Routing([
+        Path("in1", "out", ("s1", "s2")),
+        Path("in1", "in2", ("s1", "s2", "s3"),
+             TernaryMatch.from_string("1*1")),
+        Path("in2", "out", ("s3", "s2")),
+    ])
+    instance = PlacementInstance(topo, routing, PolicySet([first, second]))
+    return IncrementalDeployer(Placement(
+        instance=instance, status=SolveStatus.FEASIBLE, placed={
+            ("in1", 3): frozenset({"s1"}),
+            ("in1", 2): frozenset({"s1"}),
+            ("in1", 1): frozenset({"s1", "s2"}),
+            ("in2", 2): frozenset({"s3"}),
+        }))
+
+
+class TestGoldenDigest:
+    """The digest's format is pinned.  Journals, snapshots and the
+    dedup table store digests; a change to the hashed bytes would make
+    every stored one stale.  ``GOLDEN`` was computed before the digest
+    kept per-ingress bytes, from the flat part stream."""
+
+    GOLDEN = ("e675514cb71ebe1b1e69443a41c8c4dd"
+              "18dd681045181472f7f116300facc759")
+
+    def test_hand_written_deployment(self):
+        deployer = _golden_deployment()
+        assert deployer.state_digest() == self.GOLDEN
+        assert _reference_state_digest(deployer) == self.GOLDEN

@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from repro import io as repro_io
 from repro.experiments.generators import ExperimentConfig, build_instance
 from repro.service import (
     AsyncFrontend,
@@ -23,7 +24,7 @@ from repro.service import (
     ServiceClient,
     ServiceConfig,
 )
-from repro.service.protocol import PingRequest, SolveRequest
+from repro.service.protocol import DeltaRequest, PingRequest, SolveRequest
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +109,56 @@ class TestProtocolCompatibility:
             assert "exceeds" in answer["error"]
         finally:
             fe.shutdown()
+
+
+class TestMalformedFieldsKeepServing:
+    """Malformed fields over TCP: every line is answered ``bad_request``
+    with its ``request_id`` and the connection keeps serving.  At the
+    fixture's two dispatchers, two deltas whose deadline was not a
+    number used to kill both, leaving every later delta unanswered; a
+    kind that was not a string dropped the connection and the request
+    pipelined behind it."""
+
+    def test_bad_deadlines_then_a_delta_commits(self, frontend, instance):
+        host, port = frontend.address
+        with ServiceClient(host=host, port=port, retries=1) as client:
+            assert client.call(SolveRequest(instance=instance,
+                                            deploy_as="prod")).ok
+        delta = DeltaRequest(
+            deployment="prod", op="modify",
+            policy=repro_io.policy_to_dict(next(iter(instance.policies))),
+        ).to_dict()
+        with socket.create_connection((host, port), timeout=30.0) as conn:
+            reader = conn.makefile("r", encoding="utf-8")
+            conn.sendall(b"".join(
+                json.dumps(dict(delta, deadline="soon",
+                                request_id=f"soon-{n}")).encode() + b"\n"
+                for n in range(2)))
+            answers = [json.loads(reader.readline()) for _ in range(2)]
+            assert sorted(a["request_id"] for a in answers) == [
+                "soon-0", "soon-1"]
+            assert all(a["status"] == "bad_request" for a in answers)
+            conn.sendall(json.dumps(dict(delta, request_id="good"))
+                         .encode() + b"\n")
+            good = json.loads(reader.readline())
+            assert good["request_id"] == "good"
+            assert good["status"] == "ok", good.get("error")
+            assert good["result"]["op"] == "modify"
+
+    def test_non_string_kind_keeps_the_connection(self, frontend):
+        with socket.create_connection(frontend.address,
+                                      timeout=10.0) as conn:
+            reader = conn.makefile("r", encoding="utf-8")
+            for n, kind in enumerate(([], {}, 1, None)):
+                conn.sendall(json.dumps(
+                    {"kind": kind, "request_id": f"kind-{n}"}).encode()
+                    + b'\n{"kind":"ping","request_id":"behind"}\n')
+                answers = {}
+                for _ in range(2):
+                    answer = json.loads(reader.readline())
+                    answers[answer["request_id"]] = answer["status"]
+                assert answers == {f"kind-{n}": "bad_request",
+                                   "behind": "ok"}
 
 
 class TestConcurrency:

@@ -2,18 +2,24 @@
 
 from __future__ import annotations
 
+import io
 import json
+import threading
 
 import pytest
 
 from repro import io as repro_io
 from repro.digest import canonical_digest
+from repro.core.incremental import IncrementalDeployer
+from repro.core.placement import RulePlacer
 from repro.experiments.generators import ExperimentConfig, build_instance
 from repro.net.routing import Routing, ShortestPathRouter
 from repro.policy.policy import Policy
 from repro.policy.rule import Action, Rule
 from repro.policy.ternary import TernaryMatch
 from repro.service import PlacementService, ServiceConfig
+from repro.service.daemon import serve_stdio
+from repro.service.journal import Journal
 from repro.service.protocol import (
     DeltaRequest,
     InvalidateRequest,
@@ -223,10 +229,12 @@ _MODIFY_RULE = ("policy", "rules", 0)
 
 #: One field of a solve, verify or modify request set to a bad value
 #: (or to a function of its current value): a wrong JSON type, a rule
-#: or flow of another width than the policy's other rules, or a
-#: non-integer priority.  An instance is refused at decode; a modify's
-#: policy and a verify's placement are decoded by a worker, whose
-#: ValueError the broker answers with ``bad_request``.
+#: or flow of another width than the policy's other rules, a
+#: non-integer priority, a deadline that is not a finite non-negative
+#: number, or a kind that is not a string.  An instance, a deadline and
+#: a kind are refused at decode; a modify's policy and a verify's
+#: placement are decoded by a worker, whose ValueError the broker
+#: answers with ``bad_request``.
 MALFORMED = {
     "instance-list": ("solve", ("instance",), []),
     "instance-string": ("solve", ("instance",), "instance"),
@@ -243,6 +251,15 @@ MALFORMED = {
     "modify-match-too-wide": ("modify", _MODIFY_RULE + ("match",), "1" * 200),
     "modify-priority-string": ("modify", _MODIFY_RULE + ("priority",), "x"),
     "verify-placement-list": ("verify", ("placement",), []),
+    "deadline-string": ("modify", ("deadline",), "soon"),
+    "deadline-bool": ("modify", ("deadline",), True),
+    "deadline-negative": ("solve", ("deadline",), -1),
+    "deadline-nan": ("verify", ("deadline",), float("nan")),
+    "deadline-infinite": ("modify", ("deadline",), float("inf")),
+    "kind-list": ("modify", ("kind",), []),
+    "kind-dict": ("solve", ("kind",), {}),
+    "kind-number": ("verify", ("kind",), 1),
+    "kind-null": ("modify", ("kind",), None),
 }
 
 
@@ -277,6 +294,99 @@ class TestMalformedInputAnswersBadRequest:
         answer = decode_response(service.handle_line(json.dumps(data)))
         assert answer.status == ResponseStatus.BAD_REQUEST, answer.error
         assert answer.request_id == case
+
+
+class TestMalformedLinesKeepServing:
+    """Over stdio, each malformed line is answered ``bad_request`` and
+    the next line is still served.  Two deltas whose deadline was not a
+    number used to kill both dispatch threads, after which no solve,
+    delta or verify was ever answered again."""
+
+    def test_bad_deadlines_and_kinds_then_a_delta_commits(self, instance):
+        service = PlacementService(ServiceConfig(
+            executor="inline", dispatchers=2, supervise=False))
+        try:
+            assert service.handle(SolveRequest(instance, deploy_as="prod"),
+                                  timeout=60.0).ok
+            delta = DeltaRequest(
+                deployment="prod", op="modify",
+                policy=repro_io.policy_to_dict(
+                    next(iter(instance.policies)))).to_dict()
+            lines = [json.dumps(dict(delta, deadline="soon",
+                                     request_id=f"soon-{n}"))
+                     for n in range(2)]
+            lines += [json.dumps({"kind": kind, "request_id": f"kind-{n}"})
+                      for n, kind in enumerate(([], {}, 1, None))]
+            lines.append(json.dumps(dict(delta, request_id="good")))
+            stdin = io.StringIO("".join(line + "\n" for line in lines))
+            stdout = io.StringIO()
+            server = threading.Thread(
+                target=serve_stdio, args=(service, stdin, stdout),
+                daemon=True)
+            server.start()
+            server.join(timeout=60.0)
+            assert not server.is_alive(), "a line was never answered"
+            answers = [decode_response(line)
+                       for line in stdout.getvalue().splitlines()]
+            assert [a.request_id for a in answers] == [
+                "soon-0", "soon-1", "kind-0", "kind-1", "kind-2", "kind-3",
+                "good"]
+            assert all(a.status == ResponseStatus.BAD_REQUEST
+                       for a in answers[:-1])
+            assert answers[-1].ok, answers[-1].error
+            assert answers[-1].result["state_digest"] == \
+                service.broker.deployment_digest("prod")
+        finally:
+            service.close()
+
+    def test_in_process_bad_deadline_answers_error(self, instance):
+        """A caller that skips the wire decoder gets an ``error``
+        answer; the dispatcher survives to serve the next request."""
+        service = PlacementService(ServiceConfig(
+            executor="inline", dispatchers=1, supervise=False))
+        try:
+            bad = VerifyRequest(instance, placement={}, deadline="soon")
+            answer = service.handle(bad, timeout=30.0)
+            assert answer.status == ResponseStatus.ERROR
+            assert "dispatcher failure" in answer.error
+            assert service.handle(SolveRequest(instance),
+                                  timeout=60.0).ok
+        finally:
+            service.close()
+
+
+class TestJournaledDeadline:
+    def test_old_journal_deadline_is_not_decoded_on_replay(
+            self, instance, tmp_path):
+        """Daemons before the deadline decoder journaled a committed
+        delta's deadline as sent; a ``true`` deadline ran as one second.
+        Replay ignores that spent deadline instead of refusing the
+        journal, and reproduces the acknowledged digest."""
+        deployer = IncrementalDeployer(RulePlacer().place(instance))
+        journal = Journal(str(tmp_path), durability="flush")
+        journal.recover()
+        journal.commit("deploy", {
+            "name": "prod", "instance": repro_io.instance_to_dict(instance),
+            "placement": repro_io.placement_to_dict(
+                deployer.as_placement()),
+            "request_id": None})
+        policy = next(iter(instance.policies))
+        modify = DeltaRequest(deployment="prod", op="modify",
+                              policy=repro_io.policy_to_dict(policy))
+        placed = deployer.modify_policy(policy).placed
+        journal.commit("delta", {
+            "deployment": "prod",
+            "request": dict(modify.to_dict(), deadline=True),
+            "placed": [{"ingress": key[0], "priority": key[1],
+                        "switches": sorted(switches)}
+                       for key, switches in sorted(placed.items())]})
+        journal.close()
+        with PlacementService(ServiceConfig(
+                executor="inline", journal_dir=str(tmp_path),
+                durability="flush", supervise=False)) as service:
+            assert service.last_recovery["deltas"] == 1
+            assert service.broker.deployment_digest("prod") == \
+                deployer.state_digest()
 
 
 class TestDeltaFlowWidth:
