@@ -4,7 +4,7 @@ recovery.
 PR 2's harness storms the *dataplane* channel; this module applies the
 same discipline one layer up, to the serving daemon itself.  A seeded
 schedule drives a mixed workload (deploys, install/remove/reroute
-deltas, epoch invalidations, session attaches) against a journaled
+deltas, epoch invalidations) against a journaled
 :class:`~repro.service.daemon.PlacementService` and injects the
 failures a WAL exists to survive:
 
@@ -28,7 +28,9 @@ The invariant oracle, checked after every restart:
    epochs;
 3. **Retries are idempotent** -- re-sending the last committed
    ``request_id`` answers ``served="replay"``, not a double-apply;
-4. **Differential equivalence** -- at the end, the final digest of the
+4. **Every deployment has a worker** -- recovery forks each recovered
+   deployment's session worker before serving;
+5. **Differential equivalence** -- at the end, the final digest of the
    crash-storm run equals the final digest of a clean (journal-less,
    crash-less) service fed the identical op stream.  Unacked work may
    be lost, but the harness's synchronous op stream acks everything it
@@ -102,9 +104,6 @@ class ServiceChaosConfig:
     #: ``inline`` keeps the matrix deterministic and fork-free;
     #: ``process`` additionally exercises SIGKILLed session children.
     executor: str = "inline"
-    #: Attach a session at deploy time (recovered sessions are
-    #: part of the oracle when on).
-    use_session: bool = True
     instance_config: ExperimentConfig = field(default_factory=lambda: (
         ExperimentConfig(k=4, num_paths=4, rules_per_policy=4, seed=2)))
 
@@ -352,10 +351,6 @@ def _storm(config: ServiceChaosConfig, instance, journal_dir: str,
             report.violations.append("initial deploy failed")
             return
         acked_digest = deployed.result["state_digest"]
-        _, protocol = _svc()
-        if config.use_session:
-            service.handle(protocol.SessionRequest(
-                deployment=_DEPLOYMENT, op="attach"), timeout=30.0)
 
         for index in range(1, config.operations + 1):
             op = stream.next_op()
@@ -389,8 +384,7 @@ def _storm(config: ServiceChaosConfig, instance, journal_dir: str,
                 recovery = service.last_recovery
                 report.replayed_records += recovery.get("records", 0)
                 _check_recovery(service, acked_digest, acked_epochs,
-                                last_commit, report,
-                                expect_session=config.use_session)
+                                last_commit, report)
 
         report.final_digest = service.broker.deployment_digest(_DEPLOYMENT)
     finally:
@@ -400,8 +394,7 @@ def _storm(config: ServiceChaosConfig, instance, journal_dir: str,
 def _check_recovery(service, acked_digest: Optional[str],
                     acked_epochs: Dict[str, int],
                     last_commit: Optional[Dict[str, Any]],
-                    report: ServiceChaosReport,
-                    expect_session: bool) -> None:
+                    report: ServiceChaosReport) -> None:
     """The invariant oracle, run against a freshly recovered daemon."""
     recovered = service.broker.deployment_digest(_DEPLOYMENT) \
         if _DEPLOYMENT in service.broker.deployments() else None
@@ -431,11 +424,11 @@ def _check_recovery(service, acked_digest: Optional[str],
             report.violations.append(
                 f"recovery #{report.recoveries}: replayed result "
                 f"digest diverged")
-    if expect_session:
-        health = service.broker.session_health().get(_DEPLOYMENT, {})
-        if not health.get("desired"):
+    for name, health in sorted(service.broker.session_health().items()):
+        if not health["alive"]:
             report.violations.append(
-                f"recovery #{report.recoveries}: session desire lost")
+                f"recovery #{report.recoveries}: deployment {name!r} "
+                f"has no live worker")
 
 
 def _differential(config: ServiceChaosConfig, instance,
@@ -445,7 +438,7 @@ def _differential(config: ServiceChaosConfig, instance,
     Where the storm run must land if recovery lost nothing and doubled
     nothing.
     """
-    daemon, protocol = _svc()
+    daemon, _ = _svc()
     stream = _OpStream(instance, config.seed)
     with daemon.PlacementService(daemon.ServiceConfig(
             executor=config.executor, supervise=False)) as clean:
@@ -453,9 +446,6 @@ def _differential(config: ServiceChaosConfig, instance,
         if not deployed.ok:
             report.violations.append("clean deploy failed")
             return
-        if config.use_session:
-            clean.handle(protocol.SessionRequest(
-                deployment=_DEPLOYMENT, op="attach"), timeout=30.0)
         for _ in range(config.operations):
             _apply_op(clean, stream.next_op())
         report.clean_digest = clean.broker.deployment_digest(_DEPLOYMENT)

@@ -463,7 +463,7 @@ def _print_recovery(name: str, recovery) -> None:
         print(f"{prefix}recovered from journal: {recovery['records']} "
               f"records, {recovery['deployments']} deployments, "
               f"{recovery['deltas']} deltas, {recovery['sessions']} "
-              f"sessions re-attached", flush=True)
+              f"session workers forked", flush=True)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -475,6 +475,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import PlacementService
     from .service.daemon import serve_stdio
     from .service.frontend import AsyncFrontend
+    from .service.protocol import checked_deadline
 
     # SIGUSR1 dumps every thread's stack to stderr and serving goes on:
     # how an operator sees where a wedged daemon is stuck.
@@ -485,6 +486,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.shards > 1 and args.stdio:
         print("--shards > 1 requires the TCP front-end (no --stdio)",
               file=sys.stderr)
+        return 2
+    try:
+        checked_deadline(args.deadline)
+    except ValueError as exc:
+        print(f"--deadline: {exc}", file=sys.stderr)
         return 2
 
     # Assemble the backend: one service, or N shards + a router.

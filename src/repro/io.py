@@ -54,6 +54,14 @@ def _expect(data: Any, kind: type, what: str) -> Any:
     return data
 
 
+def _expect_name(name: Any, what: str) -> str:
+    """``name`` unchanged if it is a string, else a ValueError: names
+    key dicts and sets, so a list fails late and an int is misread."""
+    if not isinstance(name, str):
+        raise ValueError(f"{what} must be a string, got {name!r}")
+    return name
+
+
 # ---------------------------------------------------------------------------
 # Topology
 # ---------------------------------------------------------------------------
@@ -162,7 +170,10 @@ def paths_from_dict(data: List[Dict[str, Any]]) -> List[Path]:
         _expect(spec, dict, "path")
         flow = spec.get("flow")
         paths.append(Path(
-            spec["ingress"], spec["egress"], tuple(spec["switches"]),
+            _expect_name(spec["ingress"], "path ingress"),
+            _expect_name(spec["egress"], "path egress"),
+            tuple(_expect_name(switch, "path switch")
+                  for switch in spec["switches"]),
             None if flow is None else TernaryMatch.from_string(flow),
         ))
     return paths

@@ -22,8 +22,12 @@ WorkerPool`, and owns the serving policy:
   dispatched request bounds both the solver and the worker process.
 * **Deployments** -- named live :class:`~repro.core.incremental.
   IncrementalDeployer` states.  A solve with ``deploy_as`` registers
-  one; deltas preview in an isolated worker and are committed to the
-  live state only on success, serialized per deployment.
+  one and, once the deploy is acked, forks its own persistent
+  :class:`~repro.service.workers.SessionWorker`.  Every install,
+  reroute and modify previews in that worker and commits to the live
+  state only on success, serialized per deployment; a remove is pure
+  bookkeeping.  The :class:`~repro.service.workers.WorkerPool` runs
+  only solves and verifies.
 
 Worker failures map onto response statuses: a task exception is
 ``ERROR``, a hard worker death is ``WORKER_CRASHED`` -- both scoped to
@@ -31,7 +35,7 @@ the one request, the daemon keeps serving.
 
 Durability (PR 7): when a :class:`~repro.service.journal.Journal` is
 attached, every state-changing operation -- deployment registration,
-delta commits, removals, session attach/detach -- is journaled
+delta commits, removals, session attaches -- is journaled
 *write-ahead*: the record is durable before the in-memory state mutates
 and before the client sees ``ok``.  Committed ``request_id``s land in a
 bounded dedup table so a client retry after a crash/reconnect gets the
@@ -67,7 +71,6 @@ from .workers import (
     WorkerError,
     WorkerPool,
     commit_delta,
-    delta_task,
     solve_task,
     verify_task,
 )
@@ -154,23 +157,21 @@ class _Flight:
 
 
 class _Deployment:
-    """A named live deployer plus its serialization lock.
+    """A named live deployer, its serialization lock and its worker.
 
-    ``session`` is the optional :class:`SessionWorker` pinned to this
-    deployment.
+    ``session`` is the :class:`SessionWorker` that previews this
+    deployment's deltas; :meth:`Broker._ensure_worker` forks it.
     """
 
     def __init__(self, deployer: IncrementalDeployer) -> None:
         self.deployer = deployer
         self.lock = threading.Lock()
         self.session: Optional[SessionWorker] = None
-        #: Should a session exist?  Journaled desired state: set on
-        #: attach, cleared on detach, re-established at recovery and by
-        #: the supervisor after a crash.
-        self.session_desired: bool = False
-        #: A quarantined deployment gets no session: its deltas crashed
-        #: workers repeatedly, so they run only through the isolated
-        #: per-request pool.  Cleared by an explicit attach.
+        #: Session workers forked for this deployment so far.
+        self.forks: int = 0
+        #: Set after repeated worker crashes: the supervisor no longer
+        #: restarts this deployment's worker in the background, so a
+        #: delta forks one on demand.  Cleared by an ``attach``.
         self.quarantined: bool = False
 
     def drop_session(self) -> None:
@@ -244,22 +245,22 @@ class Broker:
         self._c_expired = m.counter("deadline_expired_total",
                                     "requests expired while queued")
         self._c_sessions = m.counter("sessions_attached_total",
-                                     "solver sessions attached")
+                                     "session workers forked")
         self._c_session_deltas = m.counter(
             "session_deltas_total",
             "deltas served through a session worker")
         self._c_session_rebuilds = m.counter(
             "session_rebuilds_total",
-            "sessions rebuilt after a crash, hang, or desync")
+            "session workers discarded after a crash, hang, or desync")
         self._c_restarts = m.counter(
             "worker_restarts_total",
-            "persistent workers restarted by the broker or supervisor")
+            "session workers forked to replace an earlier one")
         self._c_replays = m.counter(
             "request_replays_total",
             "retried request_ids answered from the dedup table")
         self._g_quarantined = m.gauge(
             "quarantined_deployments",
-            "deployments barred from sessions after repeated crashes")
+            "deployments the supervisor no longer restarts workers for")
         self._c_by_status: Dict[str, Any] = {}
         for status in (ResponseStatus.OK, ResponseStatus.INFEASIBLE,
                        ResponseStatus.OVERLOADED,
@@ -393,18 +394,15 @@ class Broker:
             previous.drop_session()
 
     def restore_deployment(self, name: str, deployer: IncrementalDeployer,
-                           session_desired: bool = False,
                            quarantined: bool = False) -> None:
         """Install a deployment during journal recovery, *without*
-        journaling (the journal is where it came from)."""
+        journaling (the journal is where it came from) and without a
+        worker (recovery forks workers once every record is replayed)."""
         deployment = _Deployment(deployer)
-        deployment.session_desired = session_desired
         deployment.quarantined = quarantined
         with self._lock:
             self._deployments[name] = deployment
-            quarantined_now = sum(
-                1 for d in self._deployments.values() if d.quarantined)
-        self._g_quarantined.set(quarantined_now)
+        self._refresh_quarantine_gauge()
 
     def deployment_digest(self, name: str) -> str:
         """Canonical digest of one deployment's full state (the
@@ -459,7 +457,6 @@ class Broker:
                 "name": name,
                 "instance": repro_io.instance_to_dict(placement.instance),
                 "placement": repro_io.placement_to_dict(placement),
-                "session_desired": deployment.session_desired,
                 "quarantined": deployment.quarantined,
             })
         return {
@@ -534,8 +531,65 @@ class Broker:
             return self._busy_count
 
     # ------------------------------------------------------------------
-    # Supervision (the supervisor's view of session workers)
+    # Session workers: one per deployment
     # ------------------------------------------------------------------
+
+    def ensure_worker(self, name: str) -> bool:
+        """Give a deployment a live session worker unless it has one.
+
+        Deploy, recovery, ``attach`` and the supervisor call this;
+        a delta calls :meth:`_ensure_worker` under the deployment lock
+        it already holds.  Returns True when a live worker is attached
+        afterwards; a failed fork answers False and leaves none.
+        """
+        with self._lock:
+            deployment = self._deployments.get(name)
+        if deployment is None:
+            return False
+        with deployment.lock:
+            try:
+                # repro: allow[REP-FORK] session child only reads its pipe, never parent locks; deployment.lock serializes lifecycle
+                return self._ensure_worker(deployment) is not None
+            except OSError:  # pragma: no cover - fork or pipe failure
+                return False
+
+    def _ensure_worker(self, deployment: _Deployment
+                       ) -> Optional[SessionWorker]:
+        """The deployment's live worker, forked if missing or dead.
+
+        Caller holds ``deployment.lock``.  The only place a session
+        worker is forked: the child snapshots the *current* live
+        deployer with an empty depgraph memo, so its answers are those
+        of the deployer itself.  ``None`` when the broker closed
+        meanwhile (the fresh worker is shut down again).
+        """
+        session = deployment.session
+        if session is not None and session.alive:
+            return session
+        if session is not None:
+            # Died between requests (crash, OOM kill).
+            self._c_crashes.inc()
+            self._discard_worker(deployment)
+        deployment.session = SessionWorker(
+            deployment.deployer, executor=self.pool.executor)
+        self._c_sessions.inc()
+        if deployment.forks:
+            self._c_restarts.inc()
+        deployment.forks += 1
+        with self._lock:
+            closed = self._closed
+        if closed:
+            # close() may have swept the deployments before this fork.
+            deployment.drop_session()
+            return None
+        return deployment.session
+
+    def _discard_worker(self, deployment: _Deployment) -> None:
+        """Shut down a worker that crashed, hung or may have diverged
+        from its deployment.  The next delta or the supervisor forks a
+        fresh one."""
+        deployment.drop_session()
+        self._c_session_rebuilds.inc()
 
     def session_health(self) -> Dict[str, Dict[str, Any]]:
         """Liveness of every deployment's session worker."""
@@ -546,7 +600,6 @@ class Broker:
             session = deployment.session
             alive = bool(session is not None and session.alive)
             health[name] = {
-                "desired": deployment.session_desired,
                 "attached": session is not None,
                 "alive": alive,
                 "quarantined": deployment.quarantined,
@@ -554,39 +607,16 @@ class Broker:
             }
         return health
 
-    def revive_session(self, name: str) -> bool:
-        """Restart a dead-but-desired session (supervisor path).
-
-        Returns True only when a fresh live worker is attached; no-op
-        for quarantined, undesired, or already-healthy deployments.
-        """
-        with self._lock:
-            deployment = self._deployments.get(name)
-        if deployment is None:
-            return False
-        with deployment.lock:
-            if deployment.quarantined or not deployment.session_desired:
-                return False
-            if deployment.session is not None and deployment.session.alive:
-                return False
-            # repro: allow[REP-FORK] session child only reads its pipe, never parent locks; deployment.lock serializes lifecycle
-            self._rebuild_session(deployment)
-            return (deployment.session is not None
-                    and deployment.session.alive)
-
     def quarantine(self, name: str) -> bool:
-        """Bar a deployment from sessions after repeated crashes.
-
-        Its deltas still serve -- through the isolated per-request pool,
-        where a crash costs one request, not a persistent worker.
-        """
+        """Stop the supervisor restarting a crash-looping deployment's
+        worker.  Its deltas still fork a worker on demand, at most one
+        per delta."""
         with self._lock:
             deployment = self._deployments.get(name)
         if deployment is None:
             return False
         with deployment.lock:
             deployment.quarantined = True
-            deployment.drop_session()
         self._refresh_quarantine_gauge()
         return True
 
@@ -606,12 +636,14 @@ class Broker:
                         if d.quarantined)
         self._g_quarantined.set(count)
 
-    # ------------------------------------------------------------------
-    # Sessions (control plane: answered inline, never queued)
-    # ------------------------------------------------------------------
-
     def session_op(self, request: SessionRequest) -> Response:
-        """Attach, detach, or inspect a deployment's session."""
+        """Inspect a deployment's worker (``status``), or ``attach``.
+
+        A client never needs ``attach`` to be served: every deployment
+        gets its worker when its deploy is acked.  ``attach`` clears the
+        deployment's quarantine -- journaled, so the clearing survives a
+        crash -- and ensures it a live worker.
+        """
         with self._lock:
             deployment = self._deployments.get(request.deployment)
         if deployment is None:
@@ -620,51 +652,26 @@ class Broker:
                 request_id=request.request_id,
                 error=f"unknown deployment {request.deployment!r}",
             )
-        with deployment.lock:
-            if request.op == "attach":
-                deployment.drop_session()
+        if request.op == "attach":
 
-                def apply_attach() -> None:
-                    deployment.session_desired = True
-                    # An explicit attach is the operator overriding the
-                    # quarantine: give the deployment a fresh chance.
-                    deployment.quarantined = False
+            def apply_attach() -> None:
+                deployment.quarantined = False
 
+            with deployment.lock:
                 self._journal_commit("session", {
                     "deployment": request.deployment, "op": "attach",
                     "request_id": request.request_id,
                 }, apply_attach)
-                self._refresh_quarantine_gauge()
-                # repro: allow[REP-FORK] session child only reads its pipe, never parent locks; deployment.lock serializes lifecycle
-                deployment.session = SessionWorker(
-                    deployment.deployer, executor=self.pool.executor,
-                )
-                self._c_sessions.inc()
-                return Response(
-                    status=ResponseStatus.OK, kind=request.kind,
-                    request_id=request.request_id,
-                    result={"deployment": request.deployment,
-                            "attached": True,
-                            "executor": deployment.session.executor},
-                )
-            if request.op == "detach":
-                had = deployment.session is not None
-
-                def apply_detach() -> None:
-                    deployment.session_desired = False
-                    deployment.drop_session()
-
-                self._journal_commit("session", {
-                    "deployment": request.deployment, "op": "detach",
-                    "request_id": request.request_id,
-                }, apply_detach)
-                return Response(
-                    status=ResponseStatus.OK, kind=request.kind,
-                    request_id=request.request_id,
-                    result={"deployment": request.deployment,
-                            "detached": had},
-                )
-            # status
+            self._refresh_quarantine_gauge()
+            attached = self.ensure_worker(request.deployment)
+            return Response(
+                status=ResponseStatus.OK, kind=request.kind,
+                request_id=request.request_id,
+                result={"deployment": request.deployment,
+                        "attached": attached,
+                        "executor": self.pool.executor},
+            )
+        with deployment.lock:
             session = deployment.session
             if session is None or not session.alive:
                 return Response(
@@ -676,8 +683,7 @@ class Broker:
             try:
                 stats = session.stats(timeout=5.0)
             except _WORKER_FAILURES as exc:
-                deployment.drop_session()
-                self._c_session_rebuilds.inc()
+                self._discard_worker(deployment)
                 return Response(
                     status=ResponseStatus.OK, kind=request.kind,
                     request_id=request.request_id,
@@ -689,28 +695,6 @@ class Broker:
             result.update(stats)
             return Response(status=ResponseStatus.OK, kind=request.kind,
                             request_id=request.request_id, result=result)
-
-    def _rebuild_session(self, deployment: _Deployment) -> None:
-        """Rebuild a deployment's session after crash/hang/desync.
-
-        Caller holds ``deployment.lock``.  The fresh worker snapshots
-        the *current* live deployer with an empty depgraph memo; its
-        answers are those of a deployer without a session.
-        """
-        deployment.drop_session()
-        self._c_session_rebuilds.inc()
-        self._c_restarts.inc()
-        if deployment.quarantined:
-            # Quarantined deployments get no replacement worker: their
-            # deltas run through the isolated per-request pool until an
-            # operator re-attaches explicitly.
-            return
-        try:
-            deployment.session = SessionWorker(
-                deployment.deployer, executor=self.pool.executor,
-            )
-        except Exception:  # pragma: no cover - fork failure
-            deployment.session = None
 
     # ------------------------------------------------------------------
     # Shutdown
@@ -841,6 +825,7 @@ class Broker:
                 "request_id": request.request_id,
             }, lambda: self.register_deployment(request.deploy_as,
                                                 deployer))
+            self.ensure_worker(request.deploy_as)
             result = dict(result)
             result["deployed_as"] = request.deploy_as
             result["state_digest"] = deployer.state_digest()
@@ -901,46 +886,20 @@ class Broker:
                     "ingress": request.ingress,
                     "request_id": request.request_id,
                 }, apply_remove)
-                # repro: allow[REP-FORK] mirror only rebuilds on failure; the forked child never touches parent locks
                 self._mirror(deployment, lambda s: s.remove(
                     request.ingress, timeout=5.0))
                 return Response(
                     status=ResponseStatus.OK, kind=request.kind,
                     served="inline", result=result,
                 )
-            served = "solved"
-            payload = None
-            session = deployment.session
-            if session is not None and not session.alive:
-                # The worker died between deltas (crash, OOM kill):
-                # rebuild the session from the authoritative deployer
-                # before serving.
-                self._c_crashes.inc()
-                # repro: allow[REP-FORK] session child only reads its pipe, never parent locks; deployment.lock serializes lifecycle
-                self._rebuild_session(deployment)
-                session = deployment.session
-            if session is not None and session.alive:
-                # repro: allow[REP-FORK] preview only rebuilds the session on divergence; the child never touches parent locks
-                payload, response = self._session_preview(
-                    deployment, request, remaining)
-                if response is not None:
-                    return response
-                if payload is not None:
-                    served = "session"
-            if payload is None:
-                try:
-                    # repro: allow[REP-FORK] pool worker child only answers over its pipe, never parent locks
-                    payload = self.pool.run(
-                        delta_task, deployer, request, remaining,
-                        timeout=self._pool_timeout(remaining),
-                    )
-                except _WORKER_FAILURES as exc:
-                    return self._worker_failure(request, exc)
-
+            # repro: allow[REP-FORK] session child only reads its pipe, never parent locks; deployment.lock serializes lifecycle
+            payload, failure = self._preview(deployment, request, remaining)
+            if failure is not None:
+                return failure
             if not payload["feasible"]:
                 return Response(
                     status=ResponseStatus.INFEASIBLE, kind=request.kind,
-                    served=served,
+                    served="session",
                     result={"op": request.op, "status": payload["status"],
                             "method": payload["method"],
                             "solve_seconds": payload["seconds"],
@@ -973,69 +932,75 @@ class Broker:
                 "request": request.to_dict(),
                 "placed": payload["placed"],
             }, apply_delta)
-            if served == "session":
-                # The child previewed against its own snapshot; mirror
-                # the commit so the snapshot tracks the authority.  A
-                # mirror failure means the states may have diverged --
-                # the session is untrustworthy, rebuild it.
-                # repro: allow[REP-FORK] mirror only rebuilds on failure; the forked child never touches parent locks
-                self._mirror(deployment,
-                             lambda s: s.commit(request, placed,
-                                                timeout=5.0))
+            # The worker previewed against its own snapshot; mirror the
+            # commit so the snapshot tracks the authority.
+            self._mirror(deployment,
+                         lambda s: s.commit(request, placed, timeout=5.0))
             return Response(
                 status=ResponseStatus.OK, kind=request.kind,
-                served=served, result=result,
+                served="session", result=result,
             )
 
-    def _session_preview(self, deployment: _Deployment,
-                         request: DeltaRequest,
-                         remaining: Optional[float]):
-        """Try the session worker; returns ``(payload, response)``.
+    def _preview(self, deployment: _Deployment, request: DeltaRequest,
+                 remaining: Optional[float]):
+        """Preview one delta in the deployment's worker.
 
-        Exactly one of the two is non-None, except the
-        crash-with-rebuild-also-dead case where both are None -- the
-        caller then falls through to the per-request pool (which
-        needs no session at all).  Caller holds
-        ``deployment.lock``.
+        Returns ``(payload, None)``, or ``(None, response)`` for a
+        preview that ended without a payload.  Caller holds
+        ``deployment.lock``.  A delta forks at most one worker:
+
+        * a missing or dead worker is forked before the preview;
+        * a crash of the worker the delta found alive cost the worker,
+          not the request, so the preview is retried once on a fresh
+          fork;
+        * a crash on a fork this delta made answers ``worker_crashed``
+          and leaves no worker -- the next delta or the supervisor
+          forks one;
+        * a timeout drops the worker and answers ``deadline_exceeded``;
+          after a :class:`WorkerError` the worker keeps serving.
+
+        None of these touch the deployment itself.
         """
-        try:
-            payload = deployment.session.preview(
-                request, remaining, timeout=self._pool_timeout(remaining))
+        timeout = self._pool_timeout(remaining)
+        found = deployment.session
+        session = self._ensure_worker(deployment)
+        retry = session is found
+        while True:
+            if session is None:
+                return None, Response(
+                    status=ResponseStatus.ERROR, kind=request.kind,
+                    error="service is shutting down")
+            try:
+                payload = session.preview(request, remaining, timeout=timeout)
+            except WorkerCrash as exc:
+                self._discard_worker(deployment)
+                if not retry:
+                    return None, self._worker_failure(request, exc)
+                self._c_crashes.inc()
+                retry = False
+                session = self._ensure_worker(deployment)
+                continue
+            except TimeoutError as exc:
+                self._discard_worker(deployment)
+                return None, self._worker_failure(request, exc)
+            except WorkerError as exc:
+                return None, self._worker_failure(request, exc)
             self._c_session_deltas.inc()
             return payload, None
-        except WorkerCrash:
-            self._c_crashes.inc()
-            self._rebuild_session(deployment)
-            session = deployment.session
-            if session is None or not session.alive:
-                return None, None
-            try:
-                # Retry once through the fresh session: the crash
-                # cost the worker, not the request.
-                payload = session.preview(
-                    request, remaining,
-                    timeout=self._pool_timeout(remaining))
-                self._c_session_deltas.inc()
-                return payload, None
-            except _WORKER_FAILURES:
-                self._rebuild_session(deployment)
-                return None, None
-        except (TimeoutError, WorkerError) as exc:
-            # A timeout killed the child mid-solve, taking its state;
-            # after a WorkerError the child keeps serving.
-            if isinstance(exc, TimeoutError):
-                self._rebuild_session(deployment)
-            return None, self._worker_failure(request, exc)
 
     def _mirror(self, deployment: _Deployment, call) -> None:
-        """Forward a state change into the session worker's snapshot."""
+        """Forward a committed change into the worker's snapshot.
+
+        A worker that fails to take it may have diverged from the
+        deployment, so it is discarded.
+        """
         session = deployment.session
         if session is None or not session.alive:
             return
         try:
             call(session)
         except _WORKER_FAILURES:
-            self._rebuild_session(deployment)
+            self._discard_worker(deployment)
 
     def _run_verify(self, request: VerifyRequest,
                     remaining: Optional[float]) -> Response:

@@ -22,14 +22,15 @@ idle.
 Durability (PR 7): ``journal_dir`` attaches a write-ahead
 :class:`~repro.service.journal.Journal`.  At boot the service replays
 the journal -- newest snapshot plus record tail -- and rebuilds every
-acked deployment, dedup entry, cache epoch, and desired session
-before accepting the first request.  A :class:`~repro.service.
-supervisor.Supervisor` then keeps session workers alive.
+acked deployment, dedup entry and cache epoch, then forks each
+deployment's session worker, before accepting the first request.  A
+:class:`~repro.service.supervisor.Supervisor` then keeps those workers
+alive.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional
 
 from .. import __version__
 from .. import io as repro_io
@@ -49,6 +50,7 @@ from .protocol import (
     Response,
     ResponseStatus,
     SessionRequest,
+    checked_deadline,
     decode_request_or_error,
     encode_response,
 )
@@ -84,7 +86,9 @@ class ServiceConfig:
         self.cache_entries = cache_entries
         self.cache_bytes = cache_bytes
         self.cache_ttl = cache_ttl
-        self.default_deadline = default_deadline
+        #: Applied to every solve, delta and verify sent without one;
+        #: held to the wire's rule for a ``deadline`` (a ValueError).
+        self.default_deadline = checked_deadline(default_deadline)
         #: Directory for the write-ahead journal; ``None`` disables
         #: durability (the pre-PR-7 volatile behavior).
         self.journal_dir = journal_dir
@@ -153,8 +157,8 @@ class PlacementService:
         Order matters: the snapshot is the base, then records replay in
         commit order -- the same order the pre-crash daemon applied
         them -- so the rebuilt deployers are digest-identical by
-        construction.  Sessions re-attach only after the state is
-        final (a session forks a snapshot of its deployer).
+        construction.  Every deployment gets its worker only after the
+        state is final (a worker forks a snapshot of its deployer).
         """
         report: Dict[str, Any] = {
             "snapshot_seq": 0, "records": len(state.records),
@@ -162,9 +166,8 @@ class PlacementService:
             "sessions": 0, "duplicates": state.duplicate_records,
             "truncated_tail_bytes": state.truncated_tail_bytes,
         }
-        # Older snapshots and session records also carry a session
-        # ``backend`` key; recovery ignores it.
-        session_desired: Set[str] = set()
+        # Older snapshots also carry ``session_desired`` and
+        # ``session_backend`` keys; recovery ignores them.
         if state.snapshot is not None:
             report["snapshot_seq"] = state.snapshot.get("seq", 0)
             for spec in state.snapshot.get("deployments", []):
@@ -173,28 +176,19 @@ class PlacementService:
                     spec["placement"], instance)
                 self.broker.restore_deployment(
                     spec["name"], IncrementalDeployer(placement),
-                    session_desired=bool(spec.get("session_desired")),
                     quarantined=bool(spec.get("quarantined")),
                 )
-                if spec.get("session_desired") and not spec.get(
-                        "quarantined"):
-                    session_desired.add(spec["name"])
                 report["deployments"] += 1
             self.cache.restore_epochs(state.snapshot.get("epochs", {}))
             self.broker.restore_applied(state.snapshot.get("applied", []))
         for record in state.records:
-            self._replay_record(record, report, session_desired)
-        for name in sorted(session_desired):
-            try:
-                self.broker.session_op(SessionRequest(
-                    deployment=name, op="attach"))
+            self._replay_record(record, report)
+        for name in self.broker.deployments():
+            if self.broker.ensure_worker(name):
                 report["sessions"] += 1
-            except Exception:  # pragma: no cover - fork failure at boot
-                pass
         return report
 
-    def _replay_record(self, record, report: Dict[str, Any],
-                       session_desired: Set[str]) -> None:
+    def _replay_record(self, record, report: Dict[str, Any]) -> None:
         data = record.data
         if record.kind == "deploy":
             instance = repro_io.instance_from_dict(data["instance"])
@@ -202,7 +196,6 @@ class PlacementService:
                 data["placement"], instance)
             self.broker.restore_deployment(
                 data["name"], IncrementalDeployer(placement))
-            session_desired.discard(data["name"])
             report["deployments"] += 1
         elif record.kind == "delta":
             # A replayed delta's deadline is spent.  Older daemons
@@ -231,11 +224,11 @@ class PlacementService:
             self.cache.bump_epoch(data.get("scope", "all"),
                                   count=int(data.get("count", 1)))
             report["epochs"] += 1
-        elif record.kind == "session":
-            if data["op"] == "attach":
-                session_desired.add(data["deployment"])
-            else:
-                session_desired.discard(data["deployment"])
+        elif record.kind == "session" and data["op"] == "attach":
+            # An attach cleared the quarantine.  Older journals also
+            # hold ``detach`` records and a session ``backend`` key;
+            # recovery ignores both.
+            self.broker.clear_quarantine(data["deployment"])
         # Unknown kinds are forward-compatibility: skipped, not fatal.
 
     def _remember_replay(self, request_id: Optional[str], op: str,
@@ -281,9 +274,9 @@ class PlacementService:
             ))
             return ticket
         if isinstance(request, SessionRequest):
-            # Session lifecycle is control-plane: attach forks the
-            # worker (fast), detach/status are bookkeeping -- none of
-            # them should queue behind solves.
+            # Control-plane: attach at most forks a worker (fast) and
+            # status asks the worker for its telemetry -- neither
+            # should queue behind solves.
             ticket = Ticket()
             ticket.resolve(self.broker.session_op(request))
             return ticket
@@ -406,8 +399,7 @@ class PlacementService:
             "recovery": self.last_recovery or None,
         }
         dead = [name for name, info in sessions.items()
-                if info["desired"] and not info["quarantined"]
-                and not info["alive"]]
+                if not info["quarantined"] and not info["alive"]]
         if dead:
             report["healthy"] = False
             report["dead_sessions"] = dead

@@ -58,6 +58,7 @@ __all__ = [
     "SessionRequest",
     "SolveRequest",
     "VerifyRequest",
+    "checked_deadline",
     "decode_request",
     "decode_request_or_error",
     "decode_response",
@@ -70,8 +71,8 @@ PROTOCOL_VERSION = 1
 #: Delta operations the service accepts.
 DELTA_OPS = ("install", "remove", "reroute", "modify")
 
-#: Session lifecycle operations (see :class:`SessionRequest`).
-SESSION_OPS = ("attach", "detach", "status")
+#: Session operations (see :class:`SessionRequest`).
+SESSION_OPS = ("attach", "status")
 
 
 class ProtocolError(ValueError):
@@ -121,6 +122,10 @@ class SolveRequest:
     kind = "solve"
     priority = 1  # full solves yield to deltas
 
+    def __post_init__(self) -> None:
+        if self.deploy_as is not None:
+            _check_name(self.deploy_as, "deploy_as")
+
     def cache_key(self) -> str:
         """Content digest covering the instance and every knob that
         changes the placement."""
@@ -149,7 +154,7 @@ class SolveRequest:
             objective=data.get("objective", "rules"),
             merging=bool(data.get("merging", False)),
             backend=data.get("backend", "highs"),
-            deadline=_deadline_from(data),
+            deadline=checked_deadline(data.get("deadline")),
             deploy_as=data.get("deploy_as"),
             request_id=data.get("request_id"),
         )
@@ -175,6 +180,9 @@ class DeltaRequest:
     priority = 0  # deltas preempt queued full solves
 
     def __post_init__(self) -> None:
+        _check_name(self.deployment, "deployment")
+        if self.ingress is not None:
+            _check_name(self.ingress, "ingress")
         if self.op not in DELTA_OPS:
             raise ProtocolError(
                 f"unknown delta op {self.op!r}; known: {DELTA_OPS}"
@@ -209,7 +217,7 @@ class DeltaRequest:
             ingress=data.get("ingress"),
             policy=data.get("policy"),
             paths=data.get("paths"),
-            deadline=_deadline_from(data),
+            deadline=checked_deadline(data.get("deadline")),
             request_id=data.get("request_id"),
         )
 
@@ -242,23 +250,24 @@ class VerifyRequest:
         return cls(
             instance=_instance_from(data),
             placement=placement,
-            deadline=_deadline_from(data),
+            deadline=checked_deadline(data.get("deadline")),
             request_id=data.get("request_id"),
         )
 
 
 @dataclass
 class SessionRequest:
-    """Session lifecycle control for one named deployment.
+    """Inspect or re-arm one named deployment's session worker.
 
-    ``attach`` pins a :class:`~repro.service.workers.SessionWorker` to
-    the deployment: a long-lived child holding a snapshot of the
-    deployer and its :class:`~repro.solve.session.SolverSession`
-    (the pinned dependency-graph memo), so deltas skip the per-request
-    fork and reuse dependency graphs.  ``detach`` tears the worker down
-    (subsequent deltas take the per-request pool); ``status`` reports
-    the session's telemetry without touching it.  Answered inline by
-    the broker, never queued.
+    Every deployment gets its own
+    :class:`~repro.service.workers.SessionWorker` once its deploy is
+    acked: a long-lived child holding a snapshot of the deployer and
+    its :class:`~repro.solve.session.SolverSession` (the pinned
+    dependency-graph memo), which previews every delta.  No client
+    needs a session request to be served.  ``status`` reports the
+    worker's telemetry without touching it.  ``attach`` clears the
+    deployment's quarantine (journaled) and ensures it a live worker.
+    Answered inline by the broker, never queued.
     """
 
     deployment: str
@@ -269,6 +278,7 @@ class SessionRequest:
     priority = 0
 
     def __post_init__(self) -> None:
+        _check_name(self.deployment, "deployment")
         if self.op not in SESSION_OPS:
             raise ProtocolError(
                 f"unknown session op {self.op!r}; known: {SESSION_OPS}"
@@ -568,10 +578,11 @@ def _with_common(request: Request, data: Dict[str, Any]) -> Dict[str, Any]:
     return data
 
 
-def _deadline_from(data: Dict[str, Any]) -> Optional[float]:
-    """A request's ``deadline``: absent or null, or a finite,
-    non-negative number of seconds (a bool is not a number here)."""
-    deadline = data.get("deadline")
+def checked_deadline(deadline: Any) -> Optional[float]:
+    """``deadline`` if it is None or a finite, non-negative number of
+    seconds (a bool is not a number here), else a
+    :class:`ProtocolError`.  The rule for a request's ``deadline`` and
+    for the daemon's default one."""
     if deadline is None:
         return None
     if isinstance(deadline, (int, float)) and not isinstance(deadline, bool):
@@ -583,6 +594,13 @@ def _deadline_from(data: Dict[str, Any]) -> Optional[float]:
     raise ProtocolError(
         f"deadline must be a finite, non-negative number of seconds, "
         f"got {deadline!r}")
+
+
+def _check_name(name: Any, field: str) -> None:
+    """Deployment and ingress names are strings: they key dicts and are
+    journaled as sent, so a list here once broke every later boot."""
+    if not isinstance(name, str):
+        raise ProtocolError(f"{field} must be a string, got {name!r}")
 
 
 def _instance_from(data: Dict[str, Any]) -> PlacementInstance:

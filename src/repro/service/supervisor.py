@@ -1,14 +1,15 @@
 """Supervision of the daemon's persistent workers.
 
-The broker already handles *reactive* recovery: a session worker found
-dead at delta time is rebuilt inline before serving.  That leaves two
-gaps a long-lived daemon cannot ignore:
+Every deployment has its own session worker, and the broker already
+handles *reactive* recovery: a delta that finds its worker dead forks
+a fresh one before previewing.  That leaves two gaps a long-lived
+daemon cannot ignore:
 
 * a worker that dies while its deployment is idle stays dead until the
-  next delta pays the rebuild latency (and a latency-critical delta is
+  next delta pays the fork latency (and a latency-critical delta is
   exactly the wrong place to pay it);
-* a deployment whose workload *keeps* crashing workers turns the
-  rebuild path into a crash loop -- fork, crash, fork, crash -- burning
+* a deployment whose workload *keeps* crashing workers would have the
+  supervisor refork in a loop -- fork, crash, fork, crash -- burning
   CPU and log space forever.
 
 :class:`Supervisor` closes both, with the classic supervision ladder
@@ -16,20 +17,20 @@ gaps a long-lived daemon cannot ignore:
 
 * **health sweep** -- a background thread polls
   :meth:`Broker.session_health` and schedules a restart for every
-  session that is desired, not quarantined, and not alive;
+  deployment whose worker is not alive and that is not quarantined;
 * **jittered exponential backoff** -- the Nth consecutive restart of
   the same deployment waits ``base * 2^(N-1)`` seconds (capped), with
   deterministic per-deployment jitter so a mass-crash (e.g. after a
   daemon restart) does not refork everything in one stampede;
 * **quarantine** -- more than ``crash_threshold`` restarts inside
-  ``crash_window`` seconds flips the deployment to quarantined: its
-  session is dropped and not rebuilt, deltas fall back to the isolated
-  per-request pool (correct, just colder), and only an explicit
-  session ``attach`` clears the flag.  A clean health report for
-  ``crash_window`` seconds resets the counter.
+  ``crash_window`` seconds flips the deployment to quarantined: the
+  supervisor stops restarting its worker in the background.  Its deltas
+  still serve -- each forks a worker on demand, at most one per delta
+  -- and only an explicit session ``attach`` clears the flag.  A clean
+  health report for ``crash_window`` seconds resets the counter.
 
 The supervisor holds no placement state of its own; everything it
-decides is expressed through broker primitives (``revive_session``,
+decides is expressed through broker primitives (``ensure_worker``,
 ``quarantine``), so it can be stopped, restarted, or absent without
 affecting correctness -- only recovery latency.
 """
@@ -147,7 +148,7 @@ class Supervisor:
 
         Actions: ``healthy``, ``revived``, ``backoff`` (dead, waiting
         out the delay), ``quarantined`` (this tick tripped the
-        threshold), ``skipped`` (quarantined or not desired).
+        threshold), ``skipped`` (already quarantined).
         """
         now = self.clock()
         actions: Dict[str, str] = {}
@@ -161,7 +162,7 @@ class Supervisor:
         return actions
 
     def _supervise(self, name: str, health: Dict, now: float) -> str:
-        if health["quarantined"] or not health["desired"]:
+        if health["quarantined"]:
             return "skipped"
         with self._lock:
             history = self._history.setdefault(name, _History())
@@ -173,7 +174,7 @@ class Supervisor:
                 if not history.restarts:
                     history.consecutive = 0
                 return "healthy"
-            # Dead and wanted.  Crash-looping?
+            # Dead.  Crash-looping?
             cutoff = now - self.config.crash_window
             history.restarts = [t for t in history.restarts if t > cutoff]
             if len(history.restarts) >= self.config.crash_threshold:
@@ -186,7 +187,7 @@ class Supervisor:
             self.broker.quarantine(name)
             self._c_quarantines.inc()
             return "quarantined"
-        revived = self.broker.revive_session(name)
+        revived = self.broker.ensure_worker(name)
         with self._lock:
             history = self._history.setdefault(name, _History())
             history.restarts.append(now)

@@ -3,9 +3,9 @@
 A long-running service cannot let one bad request take the process
 down: a solver segfault, an OOM kill, or a pathological instance must
 fail *that request* and nothing else.  :class:`WorkerPool` gives every
-admitted request its own forked child (:mod:`repro.forkpipe`, the one
-fork primitive the portfolio race and component solver share), whose
-endings map to distinct outcomes:
+admitted solve and verify its own forked child (:mod:`repro.forkpipe`,
+the one fork primitive the portfolio race and component solver share),
+whose endings map to distinct outcomes:
 
 * normal return        -- the task's JSON-able payload;
 * Python exception     -- :class:`WorkerError` carrying the traceback
@@ -19,14 +19,18 @@ platforms without ``fork``); inline tasks still map exceptions to
 :class:`WorkerError` but cannot survive hard death -- crash isolation
 is exactly what the process executor buys.
 
-The module also defines the service's three task functions.  Tasks
-receive live objects (fork shares the parent's memory copy-on-write;
-nothing is pickled on the way in) and return compact JSON-able payloads
-(the only data crossing the process boundary on the way out).  Notably
-the delta task runs :class:`~repro.core.incremental.IncrementalDeployer`
-*previews* -- compute without commit -- because a forked child's state
-dies with it: the daemon applies the returned placement to the live
-deployment only after the worker has succeeded.
+The module also defines the service's task functions.  Tasks receive
+live objects (fork shares the parent's memory copy-on-write; nothing is
+pickled on the way in) and return compact JSON-able payloads (the only
+data crossing the process boundary on the way out).
+
+Deltas do not fork per request: each deployment has one persistent
+:class:`SessionWorker`, whose child runs :func:`delta_task` --
+:class:`~repro.core.incremental.IncrementalDeployer` *previews*,
+compute without commit -- against its own snapshot of the deployment.
+The daemon applies the returned placement to the live deployment only
+after the preview has succeeded, then mirrors the commit into the
+worker.
 """
 
 from __future__ import annotations
@@ -166,9 +170,10 @@ def delta_task(deployer: IncrementalDeployer, request: DeltaRequest,
                time_limit: Optional[float] = None) -> Dict[str, Any]:
     """One incremental operation, previewed (computed, NOT committed).
 
-    The greedy -> sub-ILP ladder runs here in the isolated worker; the
-    broker applies the returned placement to the live deployer only on
-    success, so a crashed delta leaves the deployment untouched.
+    The greedy -> sub-ILP ladder runs here in the deployment's session
+    worker; the broker applies the returned placement to the live
+    deployer only on success, so a crashed delta leaves the deployment
+    untouched.
     """
     if request.op == "install":
         policy = repro_io.policy_from_dict(request.policy)
@@ -244,31 +249,32 @@ _SHUTDOWN_TIMEOUT = 1.0
 
 
 class SessionWorker:
-    """A long-lived worker pinned to one deployment's solver session.
+    """The long-lived worker that previews one deployment's deltas.
 
-    The per-request :class:`WorkerPool` forks per delta, and its
-    workers die with their request.  A :class:`SessionWorker` is the
-    persistent variant, for state that *survives* requests: the pinned
-    dependency-graph memo of a :class:`~repro.solve.session.SolverSession`.
+    The broker gives every deployment exactly one, forked once its
+    deploy is acked (and again at recovery, or after the previous one
+    was lost).  Unlike :class:`WorkerPool` children, which die with
+    their request, it keeps state that *survives* requests: a snapshot
+    of the deployment and the pinned dependency-graph memo of a
+    :class:`~repro.solve.session.SolverSession`.
 
-    * ``executor="process"`` forks **one** child at attach time.  The
-      fork's copy-on-write memory gives the child a snapshot of the live
+    * ``executor="process"`` forks **one** child.  The fork's
+      copy-on-write memory gives the child a snapshot of the live
       deployer; the child attaches a session to it and then serves
-      ``preview`` / ``commit`` / ``stats`` commands over a pipe until
-      shut down.  Previews run the deployer's usual greedy -> sub-ILP
-      ladder.  Commits are mirrored into the child so its snapshot
-      tracks the authoritative deployment in the parent.  A child that
-      dies or hangs surfaces as :class:`WorkerCrash` /
-      :class:`TimeoutError` -- the broker's cue to discard the session
-      and rebuild it.
+      ``preview`` / ``commit`` / ``remove`` / ``stats`` commands over a
+      pipe until shut down.  Previews run the deployer's usual greedy
+      -> sub-ILP ladder.  Commits and removes are mirrored into the
+      child so its snapshot tracks the authoritative deployment in the
+      parent.  A child that dies or hangs surfaces as
+      :class:`WorkerCrash` / :class:`TimeoutError` -- the broker's cue
+      to discard the worker and fork a fresh one.
     * ``executor="inline"`` attaches the session directly to the live
       deployer (tests, platforms without ``fork``).  ``commit`` is a
       no-op because the mirror *is* the authority.
 
-    Crash isolation is weaker than the pool's by design: a crash loses
-    the memo but never the deployment, because the authoritative
-    deployer lives in the parent and is only mutated after a successful
-    preview.
+    A crash loses the worker and its memo but never the deployment,
+    because the authoritative deployer lives in the parent and is only
+    mutated after a successful preview.
     """
 
     def __init__(self, deployer: IncrementalDeployer,

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -28,6 +31,7 @@ from repro.service.protocol import (
     ProtocolError,
     Response,
     ResponseStatus,
+    SessionRequest,
     SolveRequest,
     VerifyRequest,
     decode_request,
@@ -226,15 +230,17 @@ class TestSessionRequest:
 _RULE = ("instance", "policies", 0, "rules", 0)
 _FLOW = ("instance", "routing", 0, "flow")
 _MODIFY_RULE = ("policy", "rules", 0)
+_PATH = ("paths", 0)
 
-#: One field of a solve, verify or modify request set to a bad value
-#: (or to a function of its current value): a wrong JSON type, a rule
-#: or flow of another width than the policy's other rules, a
-#: non-integer priority, a deadline that is not a finite non-negative
-#: number, or a kind that is not a string.  An instance, a deadline and
-#: a kind are refused at decode; a modify's policy and a verify's
-#: placement are decoded by a worker, whose ValueError the broker
-#: answers with ``bad_request``.
+#: One field of a solve, verify, modify, reroute or session request
+#: set to a bad value (or to a function of its current value): a wrong
+#: JSON type, a rule or flow of another width than the policy's other
+#: rules, a non-integer priority, a deadline that is not a finite
+#: non-negative number, or a kind or name that is not a string.  An
+#: instance, a deadline, a kind and a deployment name are refused at
+#: decode; a delta's policy and paths and a verify's placement are
+#: decoded by a worker, whose ValueError the broker answers with
+#: ``bad_request``.
 MALFORMED = {
     "instance-list": ("solve", ("instance",), []),
     "instance-string": ("solve", ("instance",), "instance"),
@@ -260,6 +266,15 @@ MALFORMED = {
     "kind-dict": ("solve", ("kind",), {}),
     "kind-number": ("verify", ("kind",), 1),
     "kind-null": ("modify", ("kind",), None),
+    "deploy-as-list": ("solve", ("deploy_as",), ["x"]),
+    "deployment-list": ("modify", ("deployment",), []),
+    "deployment-number": ("reroute", ("deployment",), 3),
+    "session-deployment-list": ("session", ("deployment",), []),
+    "reroute-ingress-list": ("reroute", ("ingress",), ["h0"]),
+    "path-egress-int": ("reroute", _PATH + ("egress",), 7),
+    "path-ingress-null": ("reroute", _PATH + ("ingress",), None),
+    "path-switch-int": ("reroute", _PATH + ("switches", 0), 5),
+    "path-switch-list": ("reroute", _PATH + ("switches", 0), ["e0"]),
 }
 
 
@@ -277,14 +292,23 @@ class TestMalformedInputAnswersBadRequest:
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_answers_bad_request(self, service, instance, case):
         kind, path, bad = MALFORMED[case]
+        policy = next(iter(instance.policies))
         if kind == "solve":
             request = SolveRequest(instance, request_id=case)
         elif kind == "verify":
             request = VerifyRequest(instance, placement={}, request_id=case)
+        elif kind == "session":
+            request = SessionRequest(deployment="prod", request_id=case)
+        elif kind == "reroute":
+            request = DeltaRequest(
+                deployment="prod", op="reroute", request_id=case,
+                ingress=policy.ingress, paths=repro_io.routing_to_dict(
+                    Routing(instance.routing.paths(policy.ingress))))
         else:
             request = DeltaRequest(
                 deployment="prod", op="modify", request_id=case,
-                policy=repro_io.policy_to_dict(next(iter(instance.policies))))
+                policy=repro_io.policy_to_dict(policy))
+        digest = service.broker.deployment_digest("prod")
         data = request.to_dict()
         *parents, leaf = path
         target = data
@@ -294,6 +318,8 @@ class TestMalformedInputAnswersBadRequest:
         answer = decode_response(service.handle_line(json.dumps(data)))
         assert answer.status == ResponseStatus.BAD_REQUEST, answer.error
         assert answer.request_id == case
+        assert service.broker.deployments() == ["prod"]
+        assert service.broker.deployment_digest("prod") == digest
 
 
 class TestMalformedLinesKeepServing:
@@ -339,6 +365,31 @@ class TestMalformedLinesKeepServing:
         finally:
             service.close()
 
+    def test_ping_behind_a_bad_session_line_is_answered(self, instance):
+        """A session line naming a list as its deployment once raised
+        out of ``handle_line`` and ended ``serve_stdio``."""
+        service = PlacementService(ServiceConfig(executor="inline",
+                                                 supervise=False))
+        try:
+            lines = [json.dumps({"kind": "session", "deployment": [],
+                                 "op": "status", "request_id": "bad"}),
+                     json.dumps({"kind": "ping", "request_id": "ping"})]
+            stdin = io.StringIO("".join(line + "\n" for line in lines))
+            stdout = io.StringIO()
+            server = threading.Thread(
+                target=serve_stdio, args=(service, stdin, stdout),
+                daemon=True)
+            server.start()
+            server.join(timeout=60.0)
+            assert not server.is_alive(), "a line was never answered"
+            answers = [decode_response(line)
+                       for line in stdout.getvalue().splitlines()]
+            assert [(a.request_id, a.status) for a in answers] == [
+                ("bad", ResponseStatus.BAD_REQUEST),
+                ("ping", ResponseStatus.OK)]
+        finally:
+            service.close()
+
     def test_in_process_bad_deadline_answers_error(self, instance):
         """A caller that skips the wire decoder gets an ``error``
         answer; the dispatcher survives to serve the next request."""
@@ -353,6 +404,67 @@ class TestMalformedLinesKeepServing:
                                   timeout=60.0).ok
         finally:
             service.close()
+
+
+class TestNamesAreStrings:
+    def test_refused_deploy_as_journals_nothing_and_the_daemon_restarts(
+            self, instance, tmp_path):
+        """A solve whose ``deploy_as`` was a list once answered
+        ``error`` yet journaled its deploy, and every later boot raised
+        in recovery."""
+        config = dict(executor="inline", journal_dir=str(tmp_path),
+                      durability="flush", supervise=False)
+        with PlacementService(ServiceConfig(**config)) as service:
+            assert service.handle(SolveRequest(instance, deploy_as="prod"),
+                                  timeout=60.0).ok
+            digest = service.broker.deployment_digest("prod")
+            records = service.journal.lag()["seq"]
+            line = dict(SolveRequest(instance).to_dict(), deploy_as=["x"])
+            answer = decode_response(service.handle_line(json.dumps(line)))
+            assert answer.status == ResponseStatus.BAD_REQUEST
+            assert service.journal.lag()["seq"] == records
+        with PlacementService(ServiceConfig(**config)) as service:
+            assert service.broker.deployments() == ["prod"]
+            assert service.broker.deployment_digest("prod") == digest
+
+    def test_in_process_requests_check_names_too(self, instance):
+        with pytest.raises(ProtocolError):
+            SolveRequest(instance, deploy_as=["x"])
+        with pytest.raises(ProtocolError):
+            DeltaRequest(deployment=["prod"], op="remove", ingress="h0")
+        with pytest.raises(ProtocolError):
+            DeltaRequest(deployment="prod", op="remove", ingress=7)
+        with pytest.raises(ProtocolError):
+            SessionRequest(deployment=None)
+
+
+class TestDefaultDeadline:
+    """``repro serve --deadline`` and ``ServiceConfig.default_deadline``
+    follow the wire's rule for a ``deadline``: a negative one refused
+    every request and a NaN one bounded nothing."""
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf"),
+                                     True, "5"])
+    def test_service_config_refuses(self, bad):
+        with pytest.raises(ValueError, match="deadline must be"):
+            ServiceConfig(default_deadline=bad)
+
+    def test_service_config_accepts(self):
+        assert ServiceConfig(default_deadline=None).default_deadline is None
+        assert ServiceConfig(default_deadline=0).default_deadline == 0
+        assert ServiceConfig(default_deadline=2.5).default_deadline == 2.5
+
+    @pytest.mark.parametrize("bad", ["-1", "nan"])
+    def test_serve_exits_2_before_binding(self, bad):
+        env = dict(os.environ, PYTHONPATH=os.path.join(
+            os.path.dirname(__file__), "..", "..", "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--deadline", bad],
+            env=env, capture_output=True, text=True, timeout=60.0)
+        assert done.returncode == 2, done.stdout + done.stderr
+        assert "deadline must be" in done.stderr
+        assert "serving on" not in done.stdout
 
 
 class TestJournaledDeadline:

@@ -1,15 +1,17 @@
-"""Crash recovery for session workers.
+"""Session workers: one per deployment, and their crash recovery.
 
-A session is an optimization, never a correctness or availability
-dependency: killing the worker process that holds a live session must
-cost only the worker and its depgraph memo.  The broker detects the
-death, rebuilds the session from the authoritative deployer (which
-lives in the broker, not the worker), and the next delta answers
-correctly -- matching a session-less oracle replaying the same stream.
+Every deployment gets its own persistent session worker once its
+deploy is acked, and every install, reroute and modify previews there.
+The worker is never a correctness dependency: killing it costs only the
+worker and its depgraph memo.  The broker forks a fresh one from the
+authoritative deployer (which lives in the broker, not the worker), and
+the next delta answers correctly -- matching an oracle replaying the
+same stream.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import time
@@ -29,8 +31,11 @@ from repro.service.protocol import (
     ResponseStatus,
     SessionRequest,
     SolveRequest,
+    VerifyRequest,
+    decode_response,
 )
-from repro.service.workers import commit_delta
+from repro.service.supervisor import Supervisor
+from repro.service.workers import WorkerPool, commit_delta
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +96,9 @@ def _kill(worker) -> None:
 
 @pytest.fixture
 def forked_service(instance):
-    with PlacementService(ServiceConfig(executor="process")) as svc:
+    # No supervisor: it would race the delta path to a dead worker.
+    with PlacementService(ServiceConfig(executor="process",
+                                        supervise=False)) as svc:
         if svc.pool.executor != "process":  # pragma: no cover
             pytest.skip("fork unavailable on this platform")
         solved = svc.handle(SolveRequest(instance, deploy_as="prod"),
@@ -102,7 +109,7 @@ def forked_service(instance):
 
 @pytest.fixture
 def oracle(instance):
-    """Cold-path inline service replaying the same stream (no session)."""
+    """Inline service replaying the same stream in process."""
     with PlacementService(ServiceConfig(executor="inline")) as svc:
         solved = svc.handle(SolveRequest(instance, deploy_as="prod"),
                             timeout=120.0)
@@ -110,16 +117,56 @@ def oracle(instance):
         yield svc
 
 
+def _forks(service) -> float:
+    return service.metrics.counter("sessions_attached_total").value
+
+
+@pytest.mark.parametrize("executor", ["inline", "process"])
+def test_every_delta_but_a_remove_is_served_by_the_worker(
+        instance, executor, monkeypatch):
+    """A fresh deployment, no attach: install, reroute and modify
+    preview in the deployment's worker, a remove is bookkeeping, and
+    the per-request pool sees only solves and verifies."""
+    tasks = []
+    run = WorkerPool.run
+
+    def spy(pool, task, *args, **kwargs):
+        tasks.append(task.__name__)
+        return run(pool, task, *args, **kwargs)
+
+    monkeypatch.setattr(WorkerPool, "run", spy)
+    with PlacementService(ServiceConfig(executor=executor,
+                                        supervise=False)) as svc:
+        if svc.pool.executor != executor:  # pragma: no cover
+            pytest.skip("fork unavailable on this platform")
+        solved = svc.handle(SolveRequest(instance, deploy_as="prod"),
+                            timeout=120.0)
+        assert solved.ok
+        assert svc.broker.session_health()["prod"]["alive"]
+        install, reroute, _ = _delta_requests(instance)
+        modify = DeltaRequest(
+            deployment="prod", op="modify",
+            policy=repro_io.policy_to_dict(next(iter(instance.policies))))
+        remove = DeltaRequest(deployment="prod", op="remove",
+                              ingress=install.ingress)
+        answers = [svc.handle(request, timeout=120.0)
+                   for request in (install, reroute, modify, remove)]
+        assert all(answer.ok for answer in answers), answers
+        assert [answer.served for answer in answers] == [
+            "session", "session", "session", "inline"]
+        verified = svc.handle(VerifyRequest(
+            instance, placement=solved.result["placement"]), timeout=60.0)
+        assert verified.ok and verified.result["ok"]
+        assert _forks(svc) == 1
+    assert set(tasks) == {"solve_task", "verify_task"}
+
+
 class TestSessionCrashRecovery:
     def test_sigkill_mid_session_rebuilds_cold(self, forked_service,
                                                oracle, instance):
-        """SIGKILL the worker holding the live session; the broker
-        rebuilds it cold and every subsequent delta matches the
-        cold-path oracle."""
+        """SIGKILL the deployment's worker; the next delta forks a
+        fresh one and every delta matches the in-process oracle."""
         svc = forked_service
-        attached = svc.handle(SessionRequest(deployment="prod",
-                                             op="attach"), timeout=30.0)
-        assert attached.ok and attached.result["attached"]
         deltas = _delta_requests(instance)
 
         first = svc.handle(deltas[0], timeout=120.0)
@@ -151,60 +198,86 @@ class TestSessionCrashRecovery:
                             timeout=30.0)
         assert status.ok and status.result["attached"]
 
-    def test_crash_during_preview_falls_back_to_pool(self, forked_service,
-                                                     oracle, instance,
-                                                     monkeypatch):
-        """A delta_task that nukes the child mid-preview: the retry
-        through a fresh (equally poisoned) session also dies, and the
-        broker falls through to the per-request pool -- the request
-        still gets a correct cold answer."""
+    def test_preview_crash_is_worker_crashed(
+            self, forked_service, oracle, instance, monkeypatch):
+        """A preview that kills every worker answers ``worker_crashed``
+        and leaves the deployment untouched and no worker behind, with
+        one fork per failing delta.  Once the poison is gone, the next
+        delta is served by a fresh worker."""
         svc = forked_service
         import repro.service.workers as workers_mod
 
         def _crash_delta_task(deployer, request, time_limit=None):
             os._exit(43)
 
-        # Patch BEFORE attach: the fork snapshots the poisoned module,
-        # so the session child crashes on its first preview.  The
-        # broker's own pool path binds the original function and is
-        # unaffected.
+        before = svc.broker.deployment_digest("prod")
+        # Every worker forked from now on snapshots the poisoned module.
         monkeypatch.setattr(workers_mod, "delta_task", _crash_delta_task)
-        attached = svc.handle(SessionRequest(deployment="prod",
-                                             op="attach"), timeout=30.0)
-        assert attached.ok
+        _kill(_session_worker(svc))
         deltas = _delta_requests(instance, seed=51)
 
+        # A dead worker: the delta forks one, which crashes.
+        forks = _forks(svc)
         first = svc.handle(deltas[0], timeout=120.0)
-        assert first.ok, first.error
-        assert first.served == "solved"  # pool path, not the session
-        _check_against_oracle(first, oracle.handle(deltas[0],
-                                                   timeout=120.0))
-        assert svc.metrics.counter("session_rebuilds_total").value >= 2
-        assert svc.metrics.counter("worker_crashes_total").value >= 1
+        assert first.status == ResponseStatus.WORKER_CRASHED, first.error
+        assert _forks(svc) == forks + 1
+        assert svc.broker.session_health()["prod"]["attached"] is False
 
-        # Heal the module; the poisoned forks are gone, the latest
-        # rebuild (made after the undo) serves again.
+        # A live worker that crashes is retried once on a fresh fork.
+        assert svc.broker.ensure_worker("prod")
+        forks = _forks(svc)
+        second = svc.handle(deltas[0], timeout=120.0)
+        assert second.status == ResponseStatus.WORKER_CRASHED
+        assert _forks(svc) == forks + 1
+        assert svc.broker.session_health()["prod"]["attached"] is False
+        assert svc.broker.deployment_digest("prod") == before
+        assert svc.metrics.counter("worker_crashes_total").value >= 2
+
         monkeypatch.undo()
-        second = svc.handle(deltas[1], timeout=120.0)
-        assert second.ok, second.error
-        assert second.served == "session"
-        _check_against_oracle(second, oracle.handle(deltas[1],
+        healed = svc.handle(deltas[0], timeout=120.0)
+        assert healed.ok, healed.error
+        assert healed.served == "session"
+        _check_against_oracle(healed, oracle.handle(deltas[0],
                                                     timeout=120.0))
 
-    def test_detach_after_crash_is_clean(self, forked_service, instance):
+    def test_detach_refused_delta_rebuilds(self, forked_service, instance):
+        """``detach`` is gone; after a SIGKILL the next delta forks the
+        deployment a fresh worker."""
         svc = forked_service
-        attached = svc.handle(SessionRequest(deployment="prod",
-                                             op="attach"), timeout=30.0)
-        assert attached.ok
         _kill(_session_worker(svc))
 
         status = svc.handle(SessionRequest(deployment="prod", op="status"),
                             timeout=30.0)
         assert status.ok and status.result["attached"] is False
 
-        detached = svc.handle(SessionRequest(deployment="prod",
-                                             op="detach"), timeout=30.0)
-        assert detached.ok
+        detached = decode_response(svc.handle_line(json.dumps(
+            {"kind": "session", "deployment": "prod", "op": "detach"})))
+        assert detached.status == ResponseStatus.BAD_REQUEST
+
+        answer = svc.handle(_delta_requests(instance)[0], timeout=120.0)
+        assert answer.ok and answer.served == "session", answer.error
+        assert _session_worker(svc).alive
+
+    def test_quarantine_only_stops_restarts(self, forked_service,
+                                            instance):
+        """The supervisor leaves a quarantined deployment's dead worker
+        alone; a delta still forks one and is served, and ``attach``
+        clears the quarantine."""
+        svc = forked_service
+        assert svc.broker.quarantine("prod")
+        _kill(_session_worker(svc))
+        assert Supervisor(svc.broker).tick() == {"prod": "skipped"}
+        assert not svc.broker.session_health()["prod"]["alive"]
+
+        answer = svc.handle(_delta_requests(instance)[0], timeout=120.0)
+        assert answer.ok and answer.served == "session", answer.error
+        assert svc.metrics.gauge("quarantined_deployments").value == 1
+
+        attached = svc.handle(SessionRequest(deployment="prod",
+                                             op="attach"), timeout=30.0)
+        assert attached.ok and attached.result["attached"]
+        assert not svc.broker.session_health()["prod"]["quarantined"]
+        assert svc.metrics.gauge("quarantined_deployments").value == 0
 
     def test_unknown_deployment_session_op(self, forked_service):
         response = forked_service.handle(
@@ -252,9 +325,10 @@ def _legacy_journal(directory, instance):
 
 class TestLegacyJournal:
     def test_session_backend_keys_are_ignored(self, instance, tmp_path):
-        """A journal that still names a session backend recovers: the
-        session re-attaches, serves the next delta, and the deployment
-        is digest-identical to the one before the restart."""
+        """A journal that still names a session backend, a desired
+        session and a ``detach`` recovers: the deployment gets a
+        worker, which serves the next delta, and is digest-identical
+        to the one before the restart."""
         before = _legacy_journal(str(tmp_path), instance)
         with PlacementService(ServiceConfig(
                 executor="process", journal_dir=str(tmp_path),

@@ -24,16 +24,15 @@ class FakeBroker:
         self.quarantined: list = []
         self.revive_result = True
 
-    def add(self, name: str, alive: bool = True, desired: bool = True,
+    def add(self, name: str, alive: bool = True,
             quarantined: bool = False) -> None:
-        self.health[name] = {"desired": desired, "attached": alive,
-                             "alive": alive, "quarantined": quarantined,
-                             "backend": "process", "pid": None}
+        self.health[name] = {"attached": alive, "alive": alive,
+                             "quarantined": quarantined, "pid": None}
 
     def session_health(self) -> dict:
         return {name: dict(info) for name, info in self.health.items()}
 
-    def revive_session(self, name: str) -> bool:
+    def ensure_worker(self, name: str) -> bool:
         self.revived.append(name)
         if self.revive_result:
             self.health[name]["alive"] = True
@@ -83,11 +82,10 @@ class TestRevival:
         assert broker.revived == ["prod"]
         assert sup.history("prod")["consecutive"] == 1
 
-    def test_undesired_and_quarantined_skipped(self, broker, clock):
-        broker.add("off", alive=False, desired=False)
+    def test_quarantined_skipped(self, broker, clock):
         broker.add("bad", alive=False, quarantined=True)
         sup = _supervisor(broker, clock)
-        assert sup.tick() == {"off": "skipped", "bad": "skipped"}
+        assert sup.tick() == {"bad": "skipped"}
         assert broker.revived == []
 
     def test_revival_increments_metric(self, broker, clock):
