@@ -46,12 +46,7 @@ from typing import List, Optional
 from . import __version__
 from . import io as repro_io
 from .core.ilp import build_encoding
-from .core.objectives import (
-    Combined,
-    TotalRules,
-    UpstreamDrops,
-    apply_objective,
-)
+from .core.objectives import NAMED_OBJECTIVES, TotalRules, apply_objective
 from .core.placement import PlacerConfig, RulePlacer
 from .core.report import instance_report, placement_report
 from .core.satenc import SatPlacer
@@ -97,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "exact engine and take the first proven answer")
     solve.add_argument("--merging", action="store_true",
                        help="enable cross-policy rule merging")
-    solve.add_argument("--objective", choices=["rules", "upstream", "combined"],
+    solve.add_argument("--objective", choices=list(NAMED_OBJECTIVES),
                        default="rules")
     solve.add_argument("--time-limit", type=float, default=None)
     solve.add_argument("--deadline", type=float, default=None,
@@ -294,14 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _objective(name: str):
-    if name == "rules":
-        return TotalRules()
-    if name == "upstream":
-        return UpstreamDrops()
-    return Combined(((1.0, TotalRules()), (0.001, UpstreamDrops())))
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
     config = ExperimentConfig(
         k=args.k, num_paths=args.paths, rules_per_policy=args.rules,
@@ -321,7 +308,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         placement = SatPlacer(enable_merging=args.merging).place(instance)
     else:
         config = PlacerConfig(
-            objective=_objective(args.objective),
+            objective=NAMED_OBJECTIVES[args.objective],
             enable_merging=args.merging,
             backend=args.backend,
             time_limit=args.time_limit,

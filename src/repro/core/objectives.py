@@ -14,6 +14,9 @@ many objectives.  Implemented here:
   rule (adds indicator variables).
 * :class:`Combined` -- a weighted sum of the above, e.g. total rules
   with a small upstream tie-break.
+
+:data:`NAMED_OBJECTIVES` is the one table of the objectives a solve
+names on the command line and on the wire.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ __all__ = [
     "WeightedSwitches",
     "SwitchCount",
     "Combined",
+    "NAMED_OBJECTIVES",
     "apply_objective",
 ]
 
@@ -138,6 +142,16 @@ class Combined:
         for weight, component in self.components:
             expr = expr + component.build(encoding) * weight
         return expr
+
+
+#: The objectives ``repro solve --objective`` and a wire solve's
+#: ``objective`` name: total rules, upstream drops, or total rules with
+#: an upstream tie-break.
+NAMED_OBJECTIVES: Dict[str, Objective] = {
+    "rules": TotalRules(),
+    "upstream": UpstreamDrops(),
+    "combined": Combined(((1.0, TotalRules()), (0.001, UpstreamDrops()))),
+}
 
 
 def apply_objective(encoding: IlpEncoding, objective: Objective) -> None:

@@ -181,8 +181,6 @@ class PlacerConfig:
     deadline: Optional[float] = None
     #: Engines raced by ``backend="portfolio"`` (names or EngineSpecs).
     engines: Sequence[object] = ("highs", "bnb", "satopt")
-    #: Per-engine constructor options, keyed by engine name.
-    engine_options: Dict[str, Dict[str, object]] = field(default_factory=dict)
     #: Portfolio execution strategy: ``"process"`` or ``"inline"``.
     executor: str = "process"
     #: Solve independent components concurrently: ``"auto"`` decomposes
@@ -348,7 +346,6 @@ class RulePlacer:
         return PortfolioSolver(
             engines=tuple(self.config.engines),
             deadline=deadline,
-            engine_options=self.config.engine_options,
             executor=self.config.executor,
         )
 

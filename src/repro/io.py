@@ -13,6 +13,7 @@ strings, so files are diffable and hand-editable).
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict, List
 
 from .core.instance import PlacementInstance
@@ -62,6 +63,16 @@ def _expect_name(name: Any, what: str) -> str:
     return name
 
 
+def _expect_capacity(capacity: Any, what: str) -> Any:
+    """``capacity`` unchanged if it is a finite number (a bool is not
+    one here), else a ValueError: anything else would reach the
+    solver."""
+    number = isinstance(capacity, (int, float)) and not isinstance(capacity, bool)
+    if not number or (isinstance(capacity, float) and not math.isfinite(capacity)):
+        raise ValueError(f"{what} must be a number, got {capacity!r}")
+    return capacity
+
+
 # ---------------------------------------------------------------------------
 # Topology
 # ---------------------------------------------------------------------------
@@ -83,11 +94,14 @@ def topology_from_dict(data: Dict[str, Any]) -> Topology:
     _expect(data, dict, "topology")
     topo = Topology()
     for spec in data["switches"]:
-        topo.add_switch(spec["name"], spec["capacity"], spec.get("layer", ""))
+        topo.add_switch(spec["name"],
+                        _expect_capacity(spec["capacity"], "switch capacity"),
+                        spec.get("layer", ""))
     for a, b in data["links"]:
         topo.add_link(a, b)
     for spec in data["entry_ports"]:
-        topo.add_entry_port(spec["name"], spec["switch"])
+        topo.add_entry_port(_expect_name(spec["name"], "entry port name"),
+                            spec["switch"])
     return topo
 
 
@@ -130,7 +144,7 @@ def policy_to_dict(policy: Policy) -> Dict[str, Any]:
 def policy_from_dict(data: Dict[str, Any]) -> Policy:
     _expect(data, dict, "policy")
     return Policy(
-        data["ingress"],
+        _expect_name(data["ingress"], "policy ingress"),
         [_rule_from_dict(r) for r in _expect(data["rules"], list, "rules")],
         Action(data.get("default_action", "permit")),
     )
@@ -206,7 +220,9 @@ def instance_from_dict(data: Dict[str, Any]) -> PlacementInstance:
         topology_from_dict(data["topology"]),
         routing_from_dict(data["routing"]),
         policies_from_dict(data["policies"]),
-        dict(data["capacities"]),
+        {name: _expect_capacity(capacity, "capacity")
+         for name, capacity in _expect(data["capacities"], dict,
+                                       "capacities").items()},
     )
 
 

@@ -248,7 +248,7 @@ class LinearBlock:
     arrays plus one sense and a per-row rhs, instead of allocating one
     :class:`LinExpr` and :class:`Constraint` per row.  The SciPy/HiGHS
     backend consumes the triplets as CSR input directly; every other
-    consumer (B&B, LP export, presolve, ``check_solution``) sees the
+    consumer (B&B, LP export, ``check_solution``) sees the
     rows through :meth:`to_constraints` / :meth:`Model.all_constraints`.
 
     ``rows`` holds *block-local* row ids in ``[0, num_rows)``.
@@ -525,7 +525,7 @@ class Model:
     def all_constraints(self) -> List[Constraint]:
         """Every row as a :class:`Constraint`: the operator-API rows
         followed by materialized block rows.  Backends that walk rows
-        individually (B&B, LP export, presolve, the exhaustive oracle)
+        individually (B&B, LP export, the exhaustive oracle)
         use this; the sparse backend reads ``blocks`` directly."""
         if not self.blocks:
             return self.constraints

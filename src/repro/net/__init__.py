@@ -9,7 +9,6 @@ from .fattree import (
 )
 from .routing import Path, Routing, ShortestPathRouter
 from .generators import line, ring, star, leaf_spine, random_graph
-from .kpaths import k_shortest_paths, KPathRouter
 from .failures import (
     FailedLink,
     FailedSwitch,
@@ -21,8 +20,6 @@ from .failures import (
 )
 
 __all__ = [
-    "k_shortest_paths",
-    "KPathRouter",
     "FailedLink",
     "FailedSwitch",
     "fail_link",

@@ -10,14 +10,6 @@ from .classbench import (
     PolicyGeneratorConfig,
     generate_policy_set,
 )
-from .analysis import (
-    PolicyStats,
-    analyze_policy,
-    PolicySetStats,
-    analyze_policy_set,
-)
-from .anomalies import AnomalyKind, Anomaly, find_anomalies, anomaly_summary
-from .ranges import range_to_prefixes, RangeField, expand_rule_ranges
 from .textfmt import parse_policy, format_policy, parse_rule_line, PolicyParseError
 
 __all__ = [
@@ -36,17 +28,6 @@ __all__ = [
     "PolicyGenerator",
     "PolicyGeneratorConfig",
     "generate_policy_set",
-    "PolicyStats",
-    "analyze_policy",
-    "PolicySetStats",
-    "analyze_policy_set",
-    "AnomalyKind",
-    "Anomaly",
-    "find_anomalies",
-    "anomaly_summary",
-    "range_to_prefixes",
-    "RangeField",
-    "expand_rule_ranges",
     "parse_policy",
     "format_policy",
     "parse_rule_line",

@@ -93,14 +93,6 @@ class Rule:
         """True when the matching fields share at least one header."""
         return self.match.intersects(other.match)
 
-    def shadows(self, other: "Rule") -> bool:
-        """True when this rule makes ``other`` unmatchable.
-
-        A higher-priority rule whose match contains ``other``'s match
-        means ``other`` can never be the first match.
-        """
-        return self.priority > other.priority and other.match.is_subset(self.match)
-
     def same_behavior(self, other: "Rule") -> bool:
         """Identical matching field and action (the merging criterion of
         Section IV-B), regardless of priority or label."""

@@ -3,8 +3,8 @@ pseudo-Boolean encodings (the paper's Section IV-D engine)."""
 
 from .cnf import CNF
 from .cdcl import SatStatus, SatResult, CdclSolver, solve_cnf
-from .card import at_most_k, at_least_k, exactly_k
-from .pb import PBTerm, pb_le, pb_ge, pb_eq
+from .card import at_most_k
+from .pb import PBTerm, pb_le
 
 __all__ = [
     "CNF",
@@ -13,10 +13,6 @@ __all__ = [
     "CdclSolver",
     "solve_cnf",
     "at_most_k",
-    "at_least_k",
-    "exactly_k",
     "PBTerm",
     "pb_le",
-    "pb_ge",
-    "pb_eq",
 ]

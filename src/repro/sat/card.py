@@ -14,7 +14,7 @@ from typing import List, Sequence
 
 from .cnf import CNF
 
-__all__ = ["at_most_k", "at_least_k", "exactly_k"]
+__all__ = ["at_most_k"]
 
 
 def at_most_k(cnf: CNF, literals: Sequence[int], k: int) -> None:
@@ -50,27 +50,3 @@ def at_most_k(cnf: CNF, literals: Sequence[int], k: int) -> None:
             cnf.add_clause([-literals[i], -registers[i - 1][j - 1], registers[i][j]])
             cnf.add_clause([-registers[i - 1][j], registers[i][j]])
         cnf.add_clause([-literals[i], -registers[i - 1][k - 1]])
-
-
-def at_least_k(cnf: CNF, literals: Sequence[int], k: int) -> None:
-    """Add clauses enforcing ``sum(literals) >= k`` (dual of at-most)."""
-    n = len(literals)
-    if k <= 0:
-        return
-    if k > n:
-        cnf.add_clause([])  # impossible
-        return
-    if k == n:
-        for lit in literals:
-            cnf.add_clause([lit])
-        return
-    if k == 1:
-        cnf.add_clause(list(literals))
-        return
-    at_most_k(cnf, [-lit for lit in literals], n - k)
-
-
-def exactly_k(cnf: CNF, literals: Sequence[int], k: int) -> None:
-    """Add clauses enforcing ``sum(literals) == k``."""
-    at_most_k(cnf, literals, k)
-    at_least_k(cnf, literals, k)

@@ -21,7 +21,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 from .cnf import CNF
 
-__all__ = ["PBTerm", "pb_le", "pb_ge", "pb_eq"]
+__all__ = ["PBTerm", "pb_le"]
 
 # BDD leaves.
 _TRUE = "T"
@@ -125,16 +125,3 @@ def pb_le(cnf: CNF, terms: Sequence[PBTerm], bound: int) -> None:
         cnf.add_clause([])
     elif root != _TRUE:
         cnf.add_clause([root])
-
-
-def pb_ge(cnf: CNF, terms: Sequence[PBTerm], bound: int) -> None:
-    """``sum(coeff * lit) >= bound`` via the complementary <= form."""
-    flipped = [PBTerm(t.coeff, -t.literal) for t in terms]
-    total = sum(t.coeff for t in terms)
-    pb_le(cnf, flipped, total - bound)
-
-
-def pb_eq(cnf: CNF, terms: Sequence[PBTerm], bound: int) -> None:
-    """``sum(coeff * lit) == bound``."""
-    pb_le(cnf, terms, bound)
-    pb_ge(cnf, terms, bound)

@@ -42,7 +42,9 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .. import io as repro_io
 from ..core.instance import PlacementInstance
+from ..core.objectives import NAMED_OBJECTIVES
 from ..digest import canonical_digest
+from ..solve.portfolio import SOLVE_BACKENDS
 
 __all__ = [
     "DeltaRequest",
@@ -125,6 +127,11 @@ class SolveRequest:
     def __post_init__(self) -> None:
         if self.deploy_as is not None:
             _check_name(self.deploy_as, "deploy_as")
+        _check_choice(self.objective, NAMED_OBJECTIVES, "objective")
+        _check_choice(self.backend, SOLVE_BACKENDS, "backend")
+        if not isinstance(self.merging, bool):
+            raise ProtocolError(
+                f"merging must be true or false, got {self.merging!r}")
 
     def cache_key(self) -> str:
         """Content digest covering the instance and every knob that
@@ -152,7 +159,7 @@ class SolveRequest:
         return cls(
             instance=_instance_from(data),
             objective=data.get("objective", "rules"),
-            merging=bool(data.get("merging", False)),
+            merging=data.get("merging", False),
             backend=data.get("backend", "highs"),
             deadline=checked_deadline(data.get("deadline")),
             deploy_as=data.get("deploy_as"),
@@ -601,6 +608,15 @@ def _check_name(name: Any, field: str) -> None:
     journaled as sent, so a list here once broke every later boot."""
     if not isinstance(name, str):
         raise ProtocolError(f"{field} must be a string, got {name!r}")
+
+
+def _check_choice(value: Any, known, field: str) -> None:
+    """A solve's ``objective`` and ``backend`` are names from a fixed
+    table; an unknown one would otherwise fail in the worker as
+    ``error`` instead of answering ``bad_request``."""
+    if not (isinstance(value, str) and value in known):
+        raise ProtocolError(
+            f"unknown {field} {value!r}; known: {list(known)}")
 
 
 def _instance_from(data: Dict[str, Any]) -> PlacementInstance:

@@ -42,7 +42,7 @@ from typing import Any, Callable, Dict, Optional
 from .. import io as repro_io
 from ..core.incremental import IncrementalDeployer
 from ..core.instance import PlacementInstance
-from ..core.objectives import Combined, TotalRules, UpstreamDrops
+from ..core.objectives import NAMED_OBJECTIVES
 from ..core.placement import PlacerConfig, RulePlacer
 from ..core.verify import verify_placement
 from ..forkpipe import (CAN_FORK, Child, WorkerCrash, WorkerError, reply,
@@ -129,16 +129,6 @@ class WorkerPool:
 # ---------------------------------------------------------------------------
 
 
-def _objective_for(name: str):
-    if name == "rules":
-        return TotalRules()
-    if name == "upstream":
-        return UpstreamDrops()
-    if name == "combined":
-        return Combined(((1.0, TotalRules()), (0.001, UpstreamDrops())))
-    raise ValueError(f"unknown objective {name!r}")
-
-
 def solve_task(request: SolveRequest,
                time_limit: Optional[float] = None) -> Dict[str, Any]:
     """Full placement through the standard pipeline.
@@ -148,7 +138,7 @@ def solve_task(request: SolveRequest,
     applies exactly as in one-shot solves.
     """
     config = PlacerConfig(
-        objective=_objective_for(request.objective),
+        objective=NAMED_OBJECTIVES[request.objective],
         enable_merging=request.merging,
         backend=request.backend,
         time_limit=time_limit,

@@ -55,6 +55,7 @@ __all__ = [
     "EngineTask",
     "PortfolioOutcome",
     "PortfolioSolver",
+    "SOLVE_BACKENDS",
     "resolve_backend",
 ]
 
@@ -85,7 +86,6 @@ class EngineTask:
     encoding: Optional[IlpEncoding] = None
     enable_merging: bool = False
     time_limit: Optional[float] = None
-    options: Dict[str, object] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -203,13 +203,13 @@ def _milp_payload(encoding: IlpEncoding, result: SolveResult) -> Dict[str, objec
 
 
 def _run_highs(task: EngineTask) -> Dict[str, object]:
-    backend = ScipyMilpBackend(**task.options)
+    backend = ScipyMilpBackend()
     result = task.encoding.model.solve(backend, time_limit=task.time_limit)
     return _milp_payload(task.encoding, result)
 
 
 def _run_bnb(task: EngineTask) -> Dict[str, object]:
-    backend = BranchAndBoundBackend(**task.options)
+    backend = BranchAndBoundBackend()
     result = task.encoding.model.solve(backend, time_limit=task.time_limit)
     return _milp_payload(task.encoding, result)
 
@@ -217,7 +217,7 @@ def _run_bnb(task: EngineTask) -> Dict[str, object]:
 def _run_satopt(task: EngineTask) -> Dict[str, object]:
     from ..core.satopt import SatOptimizer
 
-    optimizer = SatOptimizer(enable_merging=task.enable_merging, **task.options)
+    optimizer = SatOptimizer(enable_merging=task.enable_merging)
     result = optimizer.minimize(task.instance, time_limit=task.time_limit)
     placement = result.placement
     return {
@@ -239,13 +239,25 @@ _REGISTRY: Dict[str, EngineSpec] = {
 }
 
 
+#: The MILP backend class each name :func:`resolve_backend` accepts.
+_MILP_BACKENDS = {
+    "highs": ScipyMilpBackend,
+    "scipy": ScipyMilpBackend,
+    "scipy-highs": ScipyMilpBackend,
+    "bnb": BranchAndBoundBackend,
+}
+
+#: Every backend name a solve accepts: a MILP backend, or
+#: ``"portfolio"`` to race every engine.
+SOLVE_BACKENDS: Tuple[str, ...] = (*_MILP_BACKENDS, "portfolio")
+
+
 def resolve_backend(name: str):
     """Map a CLI backend name to a MILP backend instance."""
-    if name in ("highs", "scipy", "scipy-highs"):
-        return ScipyMilpBackend()
-    if name == "bnb":
-        return BranchAndBoundBackend()
-    raise ValueError(f"unknown backend {name!r}")
+    backend = _MILP_BACKENDS.get(name)
+    if backend is None:
+        raise ValueError(f"unknown backend {name!r}")
+    return backend()
 
 
 def _run_engine(spec: EngineSpec, task: EngineTask):
@@ -286,7 +298,6 @@ class PortfolioSolver:
         self,
         engines: Sequence[Union[str, EngineSpec]] = DEFAULT_ENGINES,
         deadline: Optional[float] = None,
-        engine_options: Optional[Dict[str, Dict[str, object]]] = None,
         executor: str = "process",
         clock: Callable[[], float] = time.monotonic,
         grace_seconds: float = 0.5,
@@ -313,7 +324,6 @@ class PortfolioSolver:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate engine names: {names}")
         self.deadline = deadline
-        self.engine_options = dict(engine_options or {})
         self.executor = executor
         self.clock = clock
         self.grace_seconds = grace_seconds
@@ -370,14 +380,12 @@ class PortfolioSolver:
     # Executors
     # ------------------------------------------------------------------
 
-    def _task_for(self, spec: EngineSpec, instance, encoding,
-                  enable_merging) -> EngineTask:
+    def _task_for(self, instance, encoding, enable_merging) -> EngineTask:
         return EngineTask(
             instance=instance,
             encoding=encoding,
             enable_merging=enable_merging,
             time_limit=self.deadline,
-            options=dict(self.engine_options.get(spec.name, {})),
         )
 
     def _race_process(self, specs, instance, encoding, enable_merging):
@@ -406,7 +414,7 @@ class PortfolioSolver:
         # engine still racing no matter how we leave.
         try:
             for spec in specs:
-                task = self._task_for(spec, instance, encoding, enable_merging)
+                task = self._task_for(instance, encoding, enable_merging)
                 pending[Child(reply, _run_engine, spec, task)] = spec.name
             while pending and not winner_found:
                 # Past the hard stop, one last look collects incumbents
@@ -471,7 +479,7 @@ class PortfolioSolver:
                     spec.name, "timeout", error="deadline expired before start"
                 ))
                 continue
-            task = self._task_for(spec, instance, encoding, enable_merging)
+            task = self._task_for(instance, encoding, enable_merging)
             task.time_limit = remaining
             engine_start = self.clock()
             try:

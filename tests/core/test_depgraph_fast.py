@@ -1,11 +1,10 @@
 """Differential tests for the vectorized dependency-analysis fast path.
 
-The packed-array overlap kernel, the memoized depgraph build, and the
-kernel-backed policy analytics must all be *indistinguishable* from the
-original quadratic pure-Python constructions -- same pairs, same edges,
-same metrics, in the same order.  The reference implementation
-(:func:`build_dependency_graph_reference`) is kept in-tree precisely to
-serve as the oracle here.
+The packed-array overlap kernel and the memoized depgraph build must
+both be *indistinguishable* from the original quadratic pure-Python
+constructions -- same pairs, same edges, in the same order.  The
+reference implementation (:func:`build_dependency_graph_reference`) is
+kept in-tree precisely to serve as the oracle here.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro.core.depgraph import (
     ordering_pairs,
     policy_overlap_pairs,
 )
-from repro.policy.analysis import analyze_policy
 from repro.policy.classbench import generate_policy_set
 from repro.policy.policy import Policy
 from repro.policy.rule import Action, Rule
@@ -146,39 +144,6 @@ class TestDepgraphDifferential:
             assert hi < lo
             assert ordered[hi].priority > ordered[lo].priority
             assert ordered[hi].match.intersects(ordered[lo].match)
-
-
-class TestAnalysisConsistency:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_analyze_policy_matches_quadratic_reference(self, seed):
-        policies = generate_policy_set(["x"], 100, seed=seed)
-        policy = next(iter(policies))
-        stats = analyze_policy(policy)
-
-        # Reference: the original O(n^2) classification.
-        ordered = policy.sorted_rules()
-        dependency_edges = 0
-        benign = 0
-        shadowed = 0
-        closures = {}
-        for idx, rule in enumerate(ordered):
-            if rule.is_drop:
-                closures[idx] = 1
-            higher_rules = ordered[:idx]
-            if any(h.shadows(rule) for h in higher_rules):
-                shadowed += 1
-            for higher in higher_rules:
-                if not higher.match.intersects(rule.match):
-                    continue
-                if rule.is_drop and higher.is_permit:
-                    dependency_edges += 1
-                    closures[idx] += 1
-                elif higher.action is rule.action:
-                    benign += 1
-        assert stats.dependency_edges == dependency_edges
-        assert stats.benign_overlaps == benign
-        assert stats.shadowed_rules == shadowed
-        assert stats.max_closure == max(closures.values(), default=0)
 
 
 class TestMemoization:

@@ -3,7 +3,7 @@
 ``Model.add_linear_block`` must be a pure encoding optimization: a model
 built from blocks solves to the same answer as the same rows expressed
 through the operator API, on every backend -- SciPy/HiGHS consumes the
-triplets natively, branch-and-bound / LP export / presolve see them via
+triplets natively, branch-and-bound and LP export see them via
 ``all_constraints()``.
 """
 

@@ -31,15 +31,6 @@ class TestRule:
         assert a.overlaps(b)
         assert not a.overlaps(c)
 
-    def test_shadows_requires_priority_and_containment(self):
-        broad_high = Rule(TernaryMatch.from_string("1***"), Action.PERMIT, 5)
-        narrow_low = Rule(TernaryMatch.from_string("10**"), Action.DROP, 1)
-        assert broad_high.shadows(narrow_low)
-        assert not narrow_low.shadows(broad_high)
-        # Same priority never shadows.
-        same = Rule(TernaryMatch.from_string("10**"), Action.DROP, 5)
-        assert not broad_high.shadows(same)
-
     def test_same_behavior_ignores_priority_and_name(self):
         a = Rule(TernaryMatch.from_string("1***"), Action.DROP, 1, "a")
         b = Rule(TernaryMatch.from_string("1***"), Action.DROP, 9, "b")

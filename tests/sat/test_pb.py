@@ -9,17 +9,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sat.cdcl import solve_cnf
 from repro.sat.cnf import CNF
-from repro.sat.pb import PBTerm, pb_eq, pb_ge, pb_le
+from repro.sat.pb import PBTerm, pb_le
 
 
-def project(encoder, coeffs, signs, bound):
+def project(coeffs, signs, bound):
     """Check the encoding against arithmetic for every assignment."""
     n = len(coeffs)
     for bits in range(1 << n):
         cnf = CNF()
         xs = [cnf.new_var() for _ in range(n)]
         lits = [x if s else -x for x, s in zip(xs, signs)]
-        encoder(cnf, [PBTerm(c, l) for c, l in zip(coeffs, lits)], bound)
+        pb_le(cnf, [PBTerm(c, l) for c, l in zip(coeffs, lits)], bound)
         total = 0
         for i, x in enumerate(xs):
             value = bool((bits >> i) & 1)
@@ -27,24 +27,19 @@ def project(encoder, coeffs, signs, bound):
             literal_true = value == signs[i]
             if literal_true:
                 total += coeffs[i]
-        if encoder is pb_le:
-            expected = total <= bound
-        elif encoder is pb_ge:
-            expected = total >= bound
-        else:
-            expected = total == bound
-        assert solve_cnf(cnf).is_sat == expected, (coeffs, signs, bound, bits)
+        assert solve_cnf(cnf).is_sat == (total <= bound), \
+            (coeffs, signs, bound, bits)
 
 
 class TestPbLe:
     def test_simple(self):
-        project(pb_le, [2, 3, 4], [True, True, True], 5)
+        project([2, 3, 4], [True, True, True], 5)
 
     def test_negative_coefficients(self):
-        project(pb_le, [-2, 3], [True, True], 0)
+        project([-2, 3], [True, True], 0)
 
     def test_negated_literals(self):
-        project(pb_le, [2, 3], [False, True], 3)
+        project([2, 3], [False, True], 3)
 
     def test_duplicate_literals_merge(self):
         cnf = CNF()
@@ -75,17 +70,6 @@ class TestPbLe:
             pb_le(cnf, [PBTerm(1, 0)], 1)
 
 
-class TestPbGeEq:
-    def test_ge(self):
-        project(pb_ge, [2, 3, 4], [True, True, True], 6)
-
-    def test_ge_with_negative(self):
-        project(pb_ge, [-1, 4], [True, True], 2)
-
-    def test_eq(self):
-        project(pb_eq, [1, 2, 3], [True, True, True], 3)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(st.integers(-5, 6), min_size=1, max_size=5),
@@ -96,4 +80,4 @@ def test_randomized_projection(coeffs, data):
         st.booleans(), min_size=len(coeffs), max_size=len(coeffs)
     ))
     bound = data.draw(st.integers(-8, 15))
-    project(pb_le, coeffs, signs, bound)
+    project(coeffs, signs, bound)

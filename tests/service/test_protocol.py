@@ -229,18 +229,26 @@ class TestSessionRequest:
 
 _RULE = ("instance", "policies", 0, "rules", 0)
 _FLOW = ("instance", "routing", 0, "flow")
+_ENTRY_PORT = ("instance", "topology", "entry_ports", 0)
 _MODIFY_RULE = ("policy", "rules", 0)
 _PATH = ("paths", 0)
+
+
+def _every_capacity(value):
+    return lambda capacities: dict.fromkeys(capacities, value)
+
 
 #: One field of a solve, verify, modify, reroute or session request
 #: set to a bad value (or to a function of its current value): a wrong
 #: JSON type, a rule or flow of another width than the policy's other
-#: rules, a non-integer priority, a deadline that is not a finite
-#: non-negative number, or a kind or name that is not a string.  An
-#: instance, a deadline, a kind and a deployment name are refused at
-#: decode; a delta's policy and paths and a verify's placement are
-#: decoded by a worker, whose ValueError the broker answers with
-#: ``bad_request``.
+#: rules, a non-integer priority, a capacity that is not a finite
+#: number, a deadline that is not a finite non-negative number, a kind
+#: or name that is not a string, an objective or backend no solve
+#: knows, or a merging flag that is not a bool.  An instance, a
+#: deadline, a kind, a deployment name and a solve's objective, backend
+#: and merging flag are refused at decode; a delta's policy and paths
+#: and a verify's placement are decoded by a worker, whose ValueError
+#: the broker answers with ``bad_request``.
 MALFORMED = {
     "instance-list": ("solve", ("instance",), []),
     "instance-string": ("solve", ("instance",), "instance"),
@@ -253,6 +261,27 @@ MALFORMED = {
     "flow-int": ("solve", _FLOW, 5),
     "flow-too-wide": ("solve", _FLOW, "1*" * 100),
     "priority-string": ("solve", _RULE + ("priority",), "x"),
+    "entry-port-name-int": ("solve", _ENTRY_PORT + ("name",), 7),
+    "policy-ingress-null": ("solve", ("instance", "policies", 0, "ingress"),
+                            None),
+    "policy-ingress-int": ("solve", ("instance", "policies", 0, "ingress"), 3),
+    "policy-ingress-float": ("solve", ("instance", "policies", 0, "ingress"),
+                             1.5),
+    "capacity-string": ("solve", ("instance", "capacities"),
+                        _every_capacity("x")),
+    "capacity-list": ("solve", ("instance", "capacities"),
+                      _every_capacity([1])),
+    "capacity-bool": ("solve", ("instance", "capacities"),
+                      _every_capacity(True)),
+    "capacity-nan": ("solve", ("instance", "capacities"),
+                     _every_capacity(float("nan"))),
+    "objective-unknown": ("solve", ("objective",), "nope"),
+    "objective-list": ("solve", ("objective",), ["rules"]),
+    "objective-int": ("solve", ("objective",), 3),
+    "backend-unknown": ("solve", ("backend",), "nope"),
+    "backend-int": ("solve", ("backend",), 3),
+    "merging-string": ("solve", ("merging",), "yes"),
+    "merging-list": ("solve", ("merging",), [1]),
     "modify-match-int": ("modify", _MODIFY_RULE + ("match",), 104),
     "modify-match-too-wide": ("modify", _MODIFY_RULE + ("match",), "1" * 200),
     "modify-priority-string": ("modify", _MODIFY_RULE + ("priority",), "x"),
@@ -278,6 +307,35 @@ MALFORMED = {
 }
 
 
+def malformed_line(instance, case: str) -> str:
+    """The request line of ``MALFORMED[case]``, with ``request_id``
+    ``case``; deltas and sessions name deployment ``prod``."""
+    kind, path, bad = MALFORMED[case]
+    policy = next(iter(instance.policies))
+    if kind == "solve":
+        request = SolveRequest(instance, request_id=case)
+    elif kind == "verify":
+        request = VerifyRequest(instance, placement={}, request_id=case)
+    elif kind == "session":
+        request = SessionRequest(deployment="prod", request_id=case)
+    elif kind == "reroute":
+        request = DeltaRequest(
+            deployment="prod", op="reroute", request_id=case,
+            ingress=policy.ingress, paths=repro_io.routing_to_dict(
+                Routing(instance.routing.paths(policy.ingress))))
+    else:
+        request = DeltaRequest(
+            deployment="prod", op="modify", request_id=case,
+            policy=repro_io.policy_to_dict(policy))
+    data = request.to_dict()
+    *parents, leaf = path
+    target = data
+    for key in parents:
+        target = target[key]
+    target[leaf] = bad(target[leaf]) if callable(bad) else bad
+    return json.dumps(data)
+
+
 class TestMalformedInputAnswersBadRequest:
     @pytest.fixture(scope="class")
     def service(self, instance):
@@ -291,31 +349,9 @@ class TestMalformedInputAnswersBadRequest:
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_answers_bad_request(self, service, instance, case):
-        kind, path, bad = MALFORMED[case]
-        policy = next(iter(instance.policies))
-        if kind == "solve":
-            request = SolveRequest(instance, request_id=case)
-        elif kind == "verify":
-            request = VerifyRequest(instance, placement={}, request_id=case)
-        elif kind == "session":
-            request = SessionRequest(deployment="prod", request_id=case)
-        elif kind == "reroute":
-            request = DeltaRequest(
-                deployment="prod", op="reroute", request_id=case,
-                ingress=policy.ingress, paths=repro_io.routing_to_dict(
-                    Routing(instance.routing.paths(policy.ingress))))
-        else:
-            request = DeltaRequest(
-                deployment="prod", op="modify", request_id=case,
-                policy=repro_io.policy_to_dict(policy))
         digest = service.broker.deployment_digest("prod")
-        data = request.to_dict()
-        *parents, leaf = path
-        target = data
-        for key in parents:
-            target = target[key]
-        target[leaf] = bad(target[leaf]) if callable(bad) else bad
-        answer = decode_response(service.handle_line(json.dumps(data)))
+        answer = decode_response(
+            service.handle_line(malformed_line(instance, case)))
         assert answer.status == ResponseStatus.BAD_REQUEST, answer.error
         assert answer.request_id == case
         assert service.broker.deployments() == ["prod"]
@@ -365,14 +401,17 @@ class TestMalformedLinesKeepServing:
         finally:
             service.close()
 
-    def test_ping_behind_a_bad_session_line_is_answered(self, instance):
-        """A session line naming a list as its deployment once raised
-        out of ``handle_line`` and ended ``serve_stdio``."""
+    @pytest.mark.parametrize("case", ["session-deployment-list",
+                                      "entry-port-name-int"])
+    def test_ping_behind_a_bad_session_line_is_answered(self, instance,
+                                                        case):
+        """A session line naming a list as its deployment, and a solve
+        whose entry port is named by a number, each once raised out of
+        ``handle_line`` and ended ``serve_stdio``."""
         service = PlacementService(ServiceConfig(executor="inline",
                                                  supervise=False))
         try:
-            lines = [json.dumps({"kind": "session", "deployment": [],
-                                 "op": "status", "request_id": "bad"}),
+            lines = [malformed_line(instance, case),
                      json.dumps({"kind": "ping", "request_id": "ping"})]
             stdin = io.StringIO("".join(line + "\n" for line in lines))
             stdout = io.StringIO()
@@ -385,7 +424,7 @@ class TestMalformedLinesKeepServing:
             answers = [decode_response(line)
                        for line in stdout.getvalue().splitlines()]
             assert [(a.request_id, a.status) for a in answers] == [
-                ("bad", ResponseStatus.BAD_REQUEST),
+                (case, ResponseStatus.BAD_REQUEST),
                 ("ping", ResponseStatus.OK)]
         finally:
             service.close()
