@@ -30,18 +30,18 @@ lint-fix-baseline:
 chaos:
 	REPRO_CHAOS_SEEDS=200 $(PYTHON) -m pytest tests/chaos/ -q
 
-# Service crash-recovery acceptance: journal edge cases, supervisor,
+# Service crash-recovery acceptance: journal edge cases,
 # resilient client, the 100-seed kill-restart matrix, and the real
 # SIGKILL/SIGTERM end-to-ends (REPRO_RECOVERY_QUICK=1 or
 # REPRO_RECOVERY_SEEDS=N shrink the matrix).
 recovery:
-	$(PYTHON) -m pytest tests/service/test_journal.py tests/service/test_supervisor.py tests/service/test_client.py tests/chaos/test_service_recovery.py -q
+	$(PYTHON) -m pytest tests/service/test_journal.py tests/service/test_client.py tests/chaos/test_service_recovery.py -q
 
 recovery-quick:
-	REPRO_RECOVERY_QUICK=1 $(PYTHON) -m pytest tests/service/test_journal.py tests/service/test_supervisor.py tests/service/test_client.py tests/chaos/test_service_recovery.py -q
+	REPRO_RECOVERY_QUICK=1 $(PYTHON) -m pytest tests/service/test_journal.py tests/service/test_client.py tests/chaos/test_service_recovery.py -q
 
 # Cluster acceptance: asyncio front-end protocol/shutdown, hash-ring
-# properties (hypothesis), router affinity/failover, epoch broadcast,
+# properties (hypothesis), router affinity/failover, invalidation fan-out,
 # and cluster chaos with a mid-run shard kill
 # (REPRO_CLUSTER_QUICK=1 shrinks the workloads).
 cluster:

@@ -4,7 +4,7 @@ recovery.
 PR 2's harness storms the *dataplane* channel; this module applies the
 same discipline one layer up, to the serving daemon itself.  A seeded
 schedule drives a mixed workload (deploys, install/remove/reroute
-deltas, epoch invalidations) against a journaled
+deltas, cache clears) against a journaled
 :class:`~repro.service.daemon.PlacementService` and injects the
 failures a WAL exists to survive:
 
@@ -24,13 +24,11 @@ The invariant oracle, checked after every restart:
    equals the digest acked to the client by the last committed
    operation (the daemon's acks are tracked as the authoritative
    expectation);
-2. **Epochs never regress** -- recovered cache epochs are >= the acked
-   epochs;
-3. **Retries are idempotent** -- re-sending the last committed
+2. **Retries are idempotent** -- re-sending the last committed
    ``request_id`` answers ``served="replay"``, not a double-apply;
-4. **Every deployment has a worker** -- recovery forks each recovered
+3. **Every deployment has a worker** -- recovery forks each recovered
    deployment's session worker before serving;
-5. **Differential equivalence** -- at the end, the final digest of the
+4. **Differential equivalence** -- at the end, the final digest of the
    crash-storm run equals the final digest of a clean (journal-less,
    crash-less) service fed the identical op stream.  Unacked work may
    be lost, but the harness's synchronous op stream acks everything it
@@ -185,14 +183,13 @@ class _OpStream:
             Routing([self.router.shortest_path(ingress, egress)]))
 
     def next_op(self):
-        """One request spec: ("delta", DeltaRequest-kwargs) or
-        ("invalidate", scope)."""
+        """One request spec: ("delta", DeltaRequest-kwargs, ingress) or
+        ("invalidate", None, None), a cache clear."""
         self.counter += 1
         request_id = f"chaos-{self.counter}"
         roll = self.rng.random()
         if roll < 0.12:
-            return ("invalidate",
-                    self.rng.choice(["topology", "policy", "all"]), None)
+            return ("invalidate", None, None)
         if roll < 0.30 and self.live:
             ingress = self.rng.choice(self.live)
             self.live.remove(ingress)
@@ -242,8 +239,6 @@ def _simulate_crash(service: PlacementService) -> None:
                 os.kill(pid, signal.SIGKILL)
             except (ProcessLookupError, PermissionError):
                 pass
-    if service.supervisor is not None:
-        service.supervisor.stop()
     # Abandon broker/pool/journal objects without their shutdown paths:
     # daemon threads die with the harness's references.  Mark the
     # journal closed so its flusher thread exits and its fd drops.
@@ -305,15 +300,14 @@ def run_service_chaos(config: ServiceChaosConfig,
     return report
 
 
-def _service(config: ServiceChaosConfig, journal_dir: str,
-             supervise: bool = False) -> "PlacementService":
+def _service(config: ServiceChaosConfig,
+             journal_dir: str) -> "PlacementService":
     daemon, _ = _svc()
     return daemon.PlacementService(daemon.ServiceConfig(
         executor=config.executor,
         journal_dir=journal_dir,
         durability=config.durability,
         snapshot_every=config.snapshot_every,
-        supervise=supervise,
     ))
 
 
@@ -326,10 +320,8 @@ def _deploy(service, instance):
 
 def _apply_op(service, op):
     _, protocol = _svc()
-    kind = op[0]
-    if kind == "invalidate":
-        return service.handle(
-            protocol.InvalidateRequest(scope=op[1]), timeout=30.0)
+    if op[0] == "invalidate":
+        return service.handle(protocol.InvalidateRequest(), timeout=30.0)
     return service.handle(protocol.DeltaRequest(**op[1]), timeout=60.0)
 
 
@@ -342,7 +334,6 @@ def _storm(config: ServiceChaosConfig, instance, journal_dir: str,
     stream = _OpStream(instance, config.seed)
     service = _service(config, journal_dir)
     acked_digest: Optional[str] = None
-    acked_epochs: Dict[str, int] = {}
     last_commit: Optional[Dict[str, Any]] = None
 
     try:
@@ -358,9 +349,7 @@ def _storm(config: ServiceChaosConfig, instance, journal_dir: str,
             report.operations += 1
             if response.ok:
                 report.acked += 1
-                if op[0] == "invalidate":
-                    acked_epochs = dict(response.result["epochs"])
-                else:
+                if op[0] != "invalidate":
                     acked_digest = response.result["state_digest"]
                     last_commit = {"request": dict(op[1]),
                                    "digest": acked_digest}
@@ -383,8 +372,8 @@ def _storm(config: ServiceChaosConfig, instance, journal_dir: str,
                 report.recoveries += 1
                 recovery = service.last_recovery
                 report.replayed_records += recovery.get("records", 0)
-                _check_recovery(service, acked_digest, acked_epochs,
-                                last_commit, report)
+                _check_recovery(service, acked_digest, last_commit,
+                                report)
 
         report.final_digest = service.broker.deployment_digest(_DEPLOYMENT)
     finally:
@@ -392,7 +381,6 @@ def _storm(config: ServiceChaosConfig, instance, journal_dir: str,
 
 
 def _check_recovery(service, acked_digest: Optional[str],
-                    acked_epochs: Dict[str, int],
                     last_commit: Optional[Dict[str, Any]],
                     report: ServiceChaosReport) -> None:
     """The invariant oracle, run against a freshly recovered daemon."""
@@ -403,12 +391,6 @@ def _check_recovery(service, acked_digest: Optional[str],
             f"recovery #{report.recoveries}: state digest mismatch "
             f"(acked {acked_digest[:12]}, recovered "
             f"{(recovered or 'missing')[:12]})")
-    epochs = service.cache.epochs()
-    for scope, value in acked_epochs.items():
-        if epochs.get(scope, 0) < value:
-            report.violations.append(
-                f"recovery #{report.recoveries}: epoch {scope} "
-                f"regressed ({epochs.get(scope, 0)} < {value})")
     if last_commit is not None:
         _, protocol = _svc()
         retry = service.handle(
@@ -441,7 +423,7 @@ def _differential(config: ServiceChaosConfig, instance,
     daemon, _ = _svc()
     stream = _OpStream(instance, config.seed)
     with daemon.PlacementService(daemon.ServiceConfig(
-            executor=config.executor, supervise=False)) as clean:
+            executor=config.executor)) as clean:
         deployed = _deploy(clean, instance)
         if not deployed.ok:
             report.violations.append("clean deploy failed")

@@ -174,8 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker isolation (inline: no crash isolation)")
     serve.add_argument("--cache-entries", type=int, default=256)
     serve.add_argument("--cache-bytes", type=int, default=None)
-    serve.add_argument("--cache-ttl", type=float, default=None,
-                       help="result time-to-live in seconds")
     serve.add_argument("--journal-dir", default=None,
                        help="directory for the write-ahead journal; "
                             "enables crash recovery on restart")
@@ -184,13 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="journal durability mode (default fsync)")
     serve.add_argument("--snapshot-every", type=int, default=256,
                        help="compact the journal every N records")
-    serve.add_argument("--no-supervise", action="store_true",
-                       help="disable the session-worker supervisor")
     serve.add_argument("--drain-timeout", type=float, default=30.0,
                        help="seconds to drain in-flight work on "
                             "SIGTERM/SIGINT before forcing shutdown")
     serve.add_argument("--deadline", type=float, default=None,
-                       help="default per-request deadline in seconds")
+                       help="default per-request deadline in seconds "
+                            "(solves that have one never coalesce)")
 
     ping_cmd = sub.add_parser("ping", help="probe a running daemon")
     ping_cmd.add_argument("--host", default="127.0.0.1")
@@ -435,12 +432,10 @@ def _shard_config(args: argparse.Namespace,
         executor=args.executor,
         cache_entries=args.cache_entries,
         cache_bytes=args.cache_bytes,
-        cache_ttl=args.cache_ttl,
         default_deadline=args.deadline,
         journal_dir=journal_dir,
         durability=args.durability,
         snapshot_every=args.snapshot_every,
-        supervise=not args.no_supervise,
     )
 
 

@@ -219,9 +219,11 @@ class IncrementalDeployer:
         """
         if policy.ingress in self._state:
             raise ValueError(f"policy for {policy.ingress!r} already deployed")
-        # Greedy never intersects a PERMIT-only policy with its flows,
-        # so a flow of the wrong width would otherwise commit and break
-        # every later as_placement (journal compaction included).
+        # Greedy never intersects a PERMIT-only policy with its flows
+        # and places nothing on a path without a DROP, so a flow of the
+        # wrong width or an unknown switch would otherwise commit and
+        # break every later as_placement (journal compaction included).
+        self.topology.check_paths(paths)
         policy.check_flows(paths)
         started = time.perf_counter()
         # One dependency analysis serves the greedy stage and the

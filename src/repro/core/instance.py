@@ -46,12 +46,7 @@ class PlacementInstance:
     def _validate(self) -> None:
         for policy in self.policies:
             paths = self.routing.paths(policy.ingress)
-            for path in paths:
-                for switch in path.switches:
-                    if not self.topology.has_switch(switch):
-                        raise ValueError(
-                            f"path for {policy.ingress!r} uses unknown switch {switch!r}"
-                        )
+            self.topology.check_paths(paths)
             policy.check_flows(paths)
         for name in self.capacities:
             if not self.topology.has_switch(name):

@@ -55,6 +55,18 @@ def _expect(data: Any, kind: type, what: str) -> Any:
     return data
 
 
+def _require(data: Dict[str, Any], key: str, what: str) -> Any:
+    """``data[key]``, or a ValueError naming the missing key.  For the
+    decoders a worker runs (a delta's policy and paths, a verify's
+    placement): its KeyError would answer ``error``, its ValueError
+    ``bad_request``.  A missing key of a solve's instance is refused at
+    decode already."""
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError(f"{what} has no {key!r}") from None
+
+
 def _expect_name(name: Any, what: str) -> str:
     """``name`` unchanged if it is a string, else a ValueError: names
     key dicts and sets, so a list fails late and an int is misread."""
@@ -120,14 +132,14 @@ def _rule_to_dict(rule: Rule) -> Dict[str, Any]:
 
 def _rule_from_dict(data: Dict[str, Any]) -> Rule:
     _expect(data, dict, "rule")
-    priority = data["priority"]
+    priority = _require(data, "priority", "rule")
     if not isinstance(priority, int) or isinstance(priority, bool):
         raise ValueError(
             f"rule priority must be an integer, got {priority!r}"
         )
     return Rule(
-        TernaryMatch.from_string(data["match"]),
-        Action(data["action"]),
+        TernaryMatch.from_string(_require(data, "match", "rule")),
+        Action(_require(data, "action", "rule")),
         priority,
         data.get("name", ""),
     )
@@ -144,8 +156,9 @@ def policy_to_dict(policy: Policy) -> Dict[str, Any]:
 def policy_from_dict(data: Dict[str, Any]) -> Policy:
     _expect(data, dict, "policy")
     return Policy(
-        _expect_name(data["ingress"], "policy ingress"),
-        [_rule_from_dict(r) for r in _expect(data["rules"], list, "rules")],
+        _expect_name(_require(data, "ingress", "policy"), "policy ingress"),
+        [_rule_from_dict(r)
+         for r in _expect(_require(data, "rules", "policy"), list, "rules")],
         Action(data.get("default_action", "permit")),
     )
 
@@ -184,10 +197,10 @@ def paths_from_dict(data: List[Dict[str, Any]]) -> List[Path]:
         _expect(spec, dict, "path")
         flow = spec.get("flow")
         paths.append(Path(
-            _expect_name(spec["ingress"], "path ingress"),
-            _expect_name(spec["egress"], "path egress"),
+            _expect_name(_require(spec, "ingress", "path"), "path ingress"),
+            _expect_name(_require(spec, "egress", "path"), "path egress"),
             tuple(_expect_name(switch, "path switch")
-                  for switch in spec["switches"]),
+                  for switch in _require(spec, "switches", "path")),
             None if flow is None else TernaryMatch.from_string(flow),
         ))
     return paths
@@ -258,17 +271,20 @@ def placement_from_dict(data: Dict[str, Any],
         raise ValueError(f"unsupported schema version {version}")
     placement = Placement(
         instance=instance,
-        status=SolveStatus(data["status"]),
+        status=SolveStatus(_require(data, "status", "placement")),
         objective_value=data.get("objective_value"),
         solve_seconds=data.get("solve_seconds", 0.0),
         solver_stats=dict(data.get("solver_stats", {})),
     )
     placement.placed = {
-        (entry["ingress"], entry["priority"]): frozenset(entry["switches"])
-        for entry in data["placed"]
+        (_require(entry, "ingress", "placed entry"),
+         _require(entry, "priority", "placed entry")):
+            frozenset(_require(entry, "switches", "placed entry"))
+        for entry in _require(data, "placed", "placement")
     }
     placement.merged = {
-        entry["gid"]: frozenset(entry["switches"])
+        _require(entry, "gid", "merged entry"):
+            frozenset(_require(entry, "switches", "merged entry"))
         for entry in data.get("merged", [])
     }
     if placement.merged:

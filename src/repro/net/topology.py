@@ -12,7 +12,7 @@ The graph structure is kept in a :mod:`networkx` graph so that routing
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import networkx as nx
 
@@ -110,6 +110,16 @@ class Topology:
 
     def has_switch(self, name: str) -> bool:
         return name in self._switches
+
+    def check_paths(self, paths: Iterable) -> None:
+        """A ValueError naming the first switch on ``paths`` (routing
+        :class:`~repro.net.routing.Path` objects) that this topology
+        lacks."""
+        for path in paths:
+            for switch in path.switches:
+                if switch not in self._switches:
+                    raise ValueError(f"path for {path.ingress!r} uses "
+                                     f"unknown switch {switch!r}")
 
     def capacity(self, name: str) -> int:
         return self._switches[name].capacity

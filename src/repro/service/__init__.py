@@ -2,19 +2,20 @@
 
 Turns the repo's one-shot pipeline (solve / incremental-delta / verify)
 into a concurrent request-serving daemon: typed NDJSON protocol with
-content-addressed digests (:mod:`.protocol`), an LRU result cache with
-epoch invalidation (:mod:`.cache`), admission control with priority
+content-addressed digests (:mod:`.protocol`), an LRU result cache of
+proven answers (:mod:`.cache`), admission control with priority
 queueing / load shedding / request coalescing (:mod:`.broker`),
 crash-isolated multiprocess workers (:mod:`.workers`), and a metrics
 registry with Prometheus export (:mod:`.metrics`), assembled by
 :class:`~repro.service.daemon.PlacementService` (:mod:`.daemon`) and
 exercised by the seeded load generator (:mod:`.loadgen`).
 
-Durability and recovery (:mod:`.journal`, :mod:`.supervisor`,
-:mod:`.client`): a sha256-chained write-ahead journal makes every acked
-commit survive ``kill -9``; a supervisor keeps the persistent session
-workers alive with backoff and quarantine; the client library rides out
-daemon restarts with reconnects and idempotent retries.
+Durability and recovery (:mod:`.journal`, :mod:`.client`): a
+sha256-chained write-ahead journal of deployments and their acked
+requests makes every acked commit survive ``kill -9``; a delta that
+finds its deployment's session worker dead forks a fresh one; the
+client library rides out daemon restarts with reconnects and idempotent
+retries.
 """
 
 from .broker import Broker, Ticket
@@ -49,7 +50,6 @@ from .protocol import (
     encode_request,
     encode_response,
 )
-from .supervisor import Supervisor, SupervisorConfig
 from .workers import WorkerCrash, WorkerError, WorkerPool
 
 __all__ = [
@@ -84,8 +84,6 @@ __all__ = [
     "ServiceConfig",
     "ServiceUnavailable",
     "SolveRequest",
-    "Supervisor",
-    "SupervisorConfig",
     "Ticket",
     "VerifyRequest",
     "WorkerCrash",

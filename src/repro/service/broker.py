@@ -14,9 +14,12 @@ WorkerPool`, and owns the serving policy:
 * **Coalescing** -- identical in-flight solve digests share one solve:
   the second submitter attaches to the first request's flight and both
   receive the same answer (``served="coalesced"`` on the joiners).
-* **Caching** -- solved results land in the content-addressed
-  :class:`~repro.service.cache.ResultCache`; a hit is answered at
-  admission time without queueing (``served="cache"``).
+  Only a solve without a deadline leads a flight others join: a time
+  limit may cut its answer short.
+* **Caching** -- proven answers (optimal or infeasible) land in the
+  content-addressed :class:`~repro.service.cache.ResultCache`; a hit is
+  answered at admission time without queueing (``served="cache"``).
+  An answer cut short by a time limit is served but never cached.
 * **Deadlines** -- a request that is still queued when its deadline
   passes is answered ``DEADLINE_EXCEEDED``; the remaining budget of a
   dispatched request bounds both the solver and the worker process.
@@ -35,9 +38,9 @@ the one request, the daemon keeps serving.
 
 Durability (PR 7): when a :class:`~repro.service.journal.Journal` is
 attached, every state-changing operation -- deployment registration,
-delta commits, removals, session attaches -- is journaled
-*write-ahead*: the record is durable before the in-memory state mutates
-and before the client sees ``ok``.  Committed ``request_id``s land in a
+delta commits, removals -- is journaled *write-ahead*: the record is
+durable before the in-memory state mutates and before the client sees
+``ok``.  Committed ``request_id``s land in a
 bounded dedup table so a client retry after a crash/reconnect gets the
 original answer (``served="replay"``) instead of a double-apply.
 """
@@ -55,6 +58,7 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 from .. import io as repro_io
 from ..core.incremental import IncrementalDeployer
 from ..core.instance import RuleKey
+from ..milp.model import SolveStatus
 from .cache import ResultCache
 from .metrics import MetricsRegistry
 from .protocol import (
@@ -169,10 +173,6 @@ class _Deployment:
         self.session: Optional[SessionWorker] = None
         #: Session workers forked for this deployment so far.
         self.forks: int = 0
-        #: Set after repeated worker crashes: the supervisor no longer
-        #: restarts this deployment's worker in the background, so a
-        #: delta forks one on demand.  Cleared by an ``attach``.
-        self.quarantined: bool = False
 
     def drop_session(self) -> None:
         if self.session is not None:
@@ -258,9 +258,6 @@ class Broker:
         self._c_replays = m.counter(
             "request_replays_total",
             "retried request_ids answered from the dedup table")
-        self._g_quarantined = m.gauge(
-            "quarantined_deployments",
-            "deployments the supervisor no longer restarts workers for")
         self._c_by_status: Dict[str, Any] = {}
         for status in (ResponseStatus.OK, ResponseStatus.INFEASIBLE,
                        ResponseStatus.OVERLOADED,
@@ -361,7 +358,9 @@ class Broker:
                 self._resolve_locked(ticket, response, kind, now)
                 return ticket
             flight = _Flight(request, ticket, now, cache_key)
-            if cache_key is not None:
+            if cache_key is not None and request.deadline is None:
+                # A deadline may cut the answer short, which would not
+                # answer a joiner that has none.
                 self._inflight[cache_key] = flight
             heapq.heappush(self._heap,
                            (request.priority, next(self._seq), flight))
@@ -393,16 +392,13 @@ class Broker:
             # shut its worker down outside the broker lock.
             previous.drop_session()
 
-    def restore_deployment(self, name: str, deployer: IncrementalDeployer,
-                           quarantined: bool = False) -> None:
+    def restore_deployment(self, name: str,
+                           deployer: IncrementalDeployer) -> None:
         """Install a deployment during journal recovery, *without*
         journaling (the journal is where it came from) and without a
         worker (recovery forks workers once every record is replayed)."""
-        deployment = _Deployment(deployer)
-        deployment.quarantined = quarantined
         with self._lock:
-            self._deployments[name] = deployment
-        self._refresh_quarantine_gauge()
+            self._deployments[name] = _Deployment(deployer)
 
     def deployment_digest(self, name: str) -> str:
         """Canonical digest of one deployment's full state (the
@@ -439,11 +435,13 @@ class Broker:
     def snapshot_state(self) -> Dict[str, Any]:
         """Full serialized state for a journal compaction snapshot.
 
-        Runs under the journal lock (no commit can interleave), so the
-        captured deployments/epochs/dedup-table are consistent with an
-        exact record boundary.  Must not take deployment locks: state
-        mutations happen inside :meth:`_journal_commit`'s apply, which
-        already runs under the journal lock.
+        The durable state is the deployments and the dedup table; the
+        result cache and the session workers are rebuilt, not restored.
+        Runs under the journal lock (no commit can interleave), so both
+        are captured at an exact record boundary.  Must not take
+        deployment locks: state mutations happen inside
+        :meth:`_journal_commit`'s apply, which already runs under the
+        journal lock.
         """
         with self._lock:
             deployments = dict(self._deployments)
@@ -451,19 +449,13 @@ class Broker:
                        for rid, summary in self._applied.items()]
         states = []
         for name in sorted(deployments):
-            deployment = deployments[name]
-            placement = deployment.deployer.as_placement()
+            placement = deployments[name].deployer.as_placement()
             states.append({
                 "name": name,
                 "instance": repro_io.instance_to_dict(placement.instance),
                 "placement": repro_io.placement_to_dict(placement),
-                "quarantined": deployment.quarantined,
             })
-        return {
-            "deployments": states,
-            "epochs": self.cache.epochs(),
-            "applied": applied,
-        }
+        return {"deployments": states, "applied": applied}
 
     def applied_summary(self, request_id: Optional[str]
                         ) -> Optional[Dict[str, Any]]:
@@ -537,9 +529,9 @@ class Broker:
     def ensure_worker(self, name: str) -> bool:
         """Give a deployment a live session worker unless it has one.
 
-        Deploy, recovery, ``attach`` and the supervisor call this;
-        a delta calls :meth:`_ensure_worker` under the deployment lock
-        it already holds.  Returns True when a live worker is attached
+        Deploy, recovery and ``attach`` call this; a delta calls
+        :meth:`_ensure_worker` under the deployment lock it already
+        holds.  Returns True when a live worker is attached
         afterwards; a failed fork answers False and leaves none.
         """
         with self._lock:
@@ -586,8 +578,7 @@ class Broker:
 
     def _discard_worker(self, deployment: _Deployment) -> None:
         """Shut down a worker that crashed, hung or may have diverged
-        from its deployment.  The next delta or the supervisor forks a
-        fresh one."""
+        from its deployment.  The next delta forks a fresh one."""
         deployment.drop_session()
         self._c_session_rebuilds.inc()
 
@@ -602,47 +593,17 @@ class Broker:
             health[name] = {
                 "attached": session is not None,
                 "alive": alive,
-                "quarantined": deployment.quarantined,
                 "pid": session.pid if session is not None else None,
             }
         return health
-
-    def quarantine(self, name: str) -> bool:
-        """Stop the supervisor restarting a crash-looping deployment's
-        worker.  Its deltas still fork a worker on demand, at most one
-        per delta."""
-        with self._lock:
-            deployment = self._deployments.get(name)
-        if deployment is None:
-            return False
-        with deployment.lock:
-            deployment.quarantined = True
-        self._refresh_quarantine_gauge()
-        return True
-
-    def clear_quarantine(self, name: str) -> bool:
-        with self._lock:
-            deployment = self._deployments.get(name)
-        if deployment is None:
-            return False
-        with deployment.lock:
-            deployment.quarantined = False
-        self._refresh_quarantine_gauge()
-        return True
-
-    def _refresh_quarantine_gauge(self) -> None:
-        with self._lock:
-            count = sum(1 for d in self._deployments.values()
-                        if d.quarantined)
-        self._g_quarantined.set(count)
 
     def session_op(self, request: SessionRequest) -> Response:
         """Inspect a deployment's worker (``status``), or ``attach``.
 
         A client never needs ``attach`` to be served: every deployment
-        gets its worker when its deploy is acked.  ``attach`` clears the
-        deployment's quarantine -- journaled, so the clearing survives a
-        crash -- and ensures it a live worker.
+        gets its worker when its deploy is acked, and a delta that finds
+        it dead forks a fresh one.  ``attach`` only ensures a live
+        worker now; it changes no durable state and journals nothing.
         """
         with self._lock:
             deployment = self._deployments.get(request.deployment)
@@ -653,16 +614,6 @@ class Broker:
                 error=f"unknown deployment {request.deployment!r}",
             )
         if request.op == "attach":
-
-            def apply_attach() -> None:
-                deployment.quarantined = False
-
-            with deployment.lock:
-                self._journal_commit("session", {
-                    "deployment": request.deployment, "op": "attach",
-                    "request_id": request.request_id,
-                }, apply_attach)
-            self._refresh_quarantine_gauge()
             attached = self.ensure_worker(request.deployment)
             return Response(
                 status=ResponseStatus.OK, kind=request.kind,
@@ -802,8 +753,19 @@ class Broker:
         except _WORKER_FAILURES as exc:
             return self._worker_failure(request, exc)
 
-        status = (ResponseStatus.OK if payload["feasible"]
-                  else ResponseStatus.INFEASIBLE)
+        solved = SolveStatus(payload["placement"]["status"])
+        if payload["feasible"]:  # a time-limit incumbent included
+            status = ResponseStatus.OK
+        elif solved is SolveStatus.INFEASIBLE:
+            status = ResponseStatus.INFEASIBLE
+        else:
+            return Response(
+                status=(ResponseStatus.DEADLINE_EXCEEDED
+                        if solved is SolveStatus.TIME_LIMIT
+                        else ResponseStatus.ERROR),
+                kind=request.kind,
+                error=f"solve ended {solved.value} with no placement: "
+                      f"{payload['summary']}")
         result = {
             "placement": payload["placement"],
             "objective": payload["objective"],
@@ -811,7 +773,10 @@ class Broker:
             "summary": payload["summary"],
         }
         cache_key = request.cache_key()
-        self.cache.put(cache_key, {"status": status, "result": result})
+        if solved in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE):
+            # Only a proven answer is a pure function of its key: an
+            # incumbent cut short by a time limit may not be optimal.
+            self.cache.put(cache_key, {"status": status, "result": result})
 
         if request.deploy_as is not None and payload["feasible"]:
             placement = repro_io.placement_from_dict(
@@ -954,8 +919,7 @@ class Broker:
           not the request, so the preview is retried once on a fresh
           fork;
         * a crash on a fork this delta made answers ``worker_crashed``
-          and leaves no worker -- the next delta or the supervisor
-          forks one;
+          and leaves no worker -- the next delta forks one;
         * a timeout drops the worker and answers ``deadline_exceeded``;
           after a :class:`WorkerError` the worker keeps serving.
 

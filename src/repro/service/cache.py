@@ -1,34 +1,28 @@
 """Content-addressed LRU result cache for solved placements.
 
-Placement answers are pure functions of the request content digest
-(:meth:`SolveRequest.cache_key`), so the cache is a plain
-digest -> response-payload map with three bounded resources:
+The broker caches only proven answers (optimal or infeasible), and
+those are pure functions of the request content digest
+(:meth:`SolveRequest.cache_key`): a changed network is a new key, so
+no entry can go stale.  The cache is a plain digest -> response-payload
+map with two bounded resources:
 
 * **entries** -- hard cap on the number of cached results (LRU);
 * **bytes**   -- hard cap on the summed (estimated) payload sizes, so
-  a few giant placements cannot squeeze out everything else;
-* **time**    -- optional TTL per entry; expired entries count as
-  misses and are dropped on access.
+  a few giant placements cannot squeeze out everything else.
 
-Invalidation is *epoch-based*: the cache carries a ``topology`` and a
-``policy`` epoch, every entry is stamped with both at insert, and
-:meth:`bump_epoch` makes all earlier entries unservable at once --
-the right semantics for "the network changed under us" where
-enumerating affected digests is impossible.  Stale entries are swept
-lazily (on access) and eagerly via :meth:`purge_stale`.
+The cache lives in memory only: a restarted daemon starts empty.
+:meth:`clear` (the wire's ``invalidate``) drops every entry.
 
 All operations are thread-safe and O(1) amortized; counters for
-hits/misses/evictions/expirations/invalidations feed the service
-metrics registry.
+hits/misses/evictions/invalidations feed the service metrics registry.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 __all__ = ["CacheStats", "ResultCache"]
 
@@ -40,7 +34,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    expirations: int = 0
     invalidations: int = 0
     entries: int = 0
     bytes: int = 0
@@ -55,7 +48,6 @@ class CacheStats:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "expirations": self.expirations,
             "invalidations": self.invalidations,
             "entries": self.entries,
             "bytes": self.bytes,
@@ -64,23 +56,18 @@ class CacheStats:
 
 
 class _Entry:
-    __slots__ = ("payload", "size", "stored_at", "epochs")
+    __slots__ = ("payload", "size")
 
-    def __init__(self, payload: Dict[str, Any], size: int,
-                 stored_at: float, epochs: Tuple[int, int]) -> None:
+    def __init__(self, payload: Dict[str, Any], size: int) -> None:
         self.payload = payload
         self.size = size
-        self.stored_at = stored_at
-        self.epochs = epochs
 
 
 class ResultCache:
-    """digest -> result payload, LRU over entries and bytes, with TTL
-    and epoch invalidation.
+    """digest -> result payload, LRU over entries and bytes.
 
-    ``clock`` is injectable for deterministic TTL tests; ``sizer``
-    estimates a payload's footprint (defaults to the length of its
-    compact JSON encoding -- proportional to what the wire would
+    ``sizer`` estimates a payload's footprint (defaults to the length
+    of its compact JSON encoding -- proportional to what the wire would
     carry, cheap, and deterministic).
     """
 
@@ -88,29 +75,21 @@ class ResultCache:
         self,
         max_entries: int = 256,
         max_bytes: Optional[int] = None,
-        ttl: Optional[float] = None,
-        clock: Callable[[], float] = time.monotonic,
         sizer: Optional[Callable[[Dict[str, Any]], int]] = None,
     ) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         if max_bytes is not None and max_bytes < 1:
             raise ValueError("max_bytes must be >= 1")
-        if ttl is not None and ttl <= 0:
-            raise ValueError("ttl must be positive")
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        self.ttl = ttl
-        self._clock = clock
         self._sizer = sizer or _json_size
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self._bytes = 0
-        self._epochs = {"topology": 0, "policy": 0}
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._expirations = 0
         self._invalidations = 0
 
     # ------------------------------------------------------------------
@@ -121,9 +100,6 @@ class ResultCache:
         """The cached payload, or ``None`` (counted as hit or miss)."""
         with self._lock:
             entry = self._entries.get(digest)
-            if entry is not None and not self._servable(entry):
-                self._drop(digest, entry)
-                entry = None
             if entry is None:
                 self._misses += 1
                 return None
@@ -138,11 +114,7 @@ class ResultCache:
             old = self._entries.pop(digest, None)
             if old is not None:
                 self._bytes -= old.size
-            entry = _Entry(
-                payload, size, self._clock(),
-                (self._epochs["topology"], self._epochs["policy"]),
-            )
-            self._entries[digest] = entry
+            self._entries[digest] = _Entry(payload, size)
             self._bytes += size
             while len(self._entries) > self.max_entries:
                 self._evict_lru()
@@ -154,74 +126,14 @@ class ResultCache:
                 while self._bytes > self.max_bytes and self._entries:
                     self._evict_lru()
 
-    def invalidate(self, digest: str) -> bool:
-        """Drop one entry by digest; True if it existed."""
+    def clear(self) -> int:
+        """Drop every entry; returns how many there were."""
         with self._lock:
-            entry = self._entries.pop(digest, None)
-            if entry is None:
-                return False
-            self._bytes -= entry.size
-            self._invalidations += 1
-            return True
-
-    def clear(self) -> None:
-        with self._lock:
-            self._invalidations += len(self._entries)
+            dropped = len(self._entries)
+            self._invalidations += dropped
             self._entries.clear()
             self._bytes = 0
-
-    # ------------------------------------------------------------------
-    # Epochs
-    # ------------------------------------------------------------------
-
-    def bump_epoch(self, scope: str = "all",
-                   count: int = 1) -> Dict[str, int]:
-        """Advance the ``topology``/``policy``/``all`` epoch; entries
-        stamped under older epochs stop being served (swept lazily).
-
-        ``count`` advances the epoch that many steps at once -- the
-        cluster router's rejoin catch-up path, where a shard that was
-        down through N broadcasts must land on the same epoch as its
-        peers without N round-trips.
-        """
-        if scope not in ("topology", "policy", "all"):
-            raise ValueError(f"unknown epoch scope {scope!r}")
-        if count < 1:
-            raise ValueError("epoch bump count must be >= 1")
-        with self._lock:
-            for key in self._epochs:
-                if scope in (key, "all"):
-                    self._epochs[key] += count
-            return dict(self._epochs)
-
-    def epochs(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._epochs)
-
-    def restore_epochs(self, epochs: Dict[str, int]) -> Dict[str, int]:
-        """Fast-forward epochs to journaled values after recovery.
-
-        Max-merge semantics: an epoch can only move forward, never
-        regress -- a recovered daemon must not serve results the
-        pre-crash daemon had already invalidated.
-        """
-        with self._lock:
-            for key in self._epochs:
-                recorded = epochs.get(key)
-                if isinstance(recorded, int) and recorded > self._epochs[key]:
-                    self._epochs[key] = recorded
-            return dict(self._epochs)
-
-    def purge_stale(self) -> int:
-        """Eagerly sweep expired/stale-epoch entries; returns count."""
-        with self._lock:
-            doomed = [
-                (digest, entry) for digest, entry in self._entries.items()
-                if not self._servable(entry)
-            ]
-            for digest, entry in doomed:
-                self._drop(digest, entry)
-            return len(doomed)
+            return dropped
 
     # ------------------------------------------------------------------
     # Introspection
@@ -234,8 +146,7 @@ class ResultCache:
     def __contains__(self, digest: str) -> bool:
         """Membership without touching LRU order or counters."""
         with self._lock:
-            entry = self._entries.get(digest)
-            return entry is not None and self._servable(entry)
+            return digest in self._entries
 
     def stats(self) -> CacheStats:
         with self._lock:
@@ -243,7 +154,6 @@ class ResultCache:
                 hits=self._hits,
                 misses=self._misses,
                 evictions=self._evictions,
-                expirations=self._expirations,
                 invalidations=self._invalidations,
                 entries=len(self._entries),
                 bytes=self._bytes,
@@ -252,22 +162,6 @@ class ResultCache:
     # ------------------------------------------------------------------
     # Internals (callers hold the lock)
     # ------------------------------------------------------------------
-
-    def _servable(self, entry: _Entry) -> bool:
-        if entry.epochs != (self._epochs["topology"], self._epochs["policy"]):
-            return False
-        if self.ttl is not None and self._clock() - entry.stored_at > self.ttl:
-            return False
-        return True
-
-    def _drop(self, digest: str, entry: _Entry) -> None:
-        """Remove a dead entry, attributing it to TTL or epoch."""
-        del self._entries[digest]
-        self._bytes -= entry.size
-        if entry.epochs != (self._epochs["topology"], self._epochs["policy"]):
-            self._invalidations += 1
-        else:
-            self._expirations += 1
 
     def _evict_lru(self) -> None:
         digest, entry = self._entries.popitem(last=False)

@@ -23,9 +23,9 @@ count.
 * :class:`ClusterRouter` -- the brains: routes by key, probes shard
   readiness in the background, fails open to the next ring node when a
   shard dies (re-deploying named deployments there from its catalog,
-  so acked deltas keep landing), broadcasts epoch invalidations to
-  every shard and catches rejoining shards up on the bumps they
-  missed, and aggregates ping/health/ready/metrics across the fleet.
+  so acked deltas keep landing), fans cache clears out to every shard
+  and clears a rejoining shard that missed one before routing to it
+  again, and aggregates ping/health/ready/metrics across the fleet.
   ``submit(request) -> Ticket`` -- the same contract as
   :class:`~repro.service.daemon.PlacementService`, so the asyncio
   front-end serves a cluster exactly as it serves one daemon.
@@ -47,7 +47,7 @@ import hashlib
 import threading
 import uuid
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 from .broker import Ticket
 from .client import ServiceClient, ServiceUnavailable
@@ -74,9 +74,6 @@ __all__ = [
     "LocalShard",
     "RemoteShard",
 ]
-
-#: Epoch scopes the router's invalidation ledger tracks.
-_SCOPES = ("topology", "policy")
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +317,10 @@ class ClusterRouter:
         self._live: Dict[str, bool] = {}
         self._home: Dict[str, str] = {}       # deployment -> shard name
         self._catalog: Dict[str, Dict[str, Any]] = {}  # deployment -> solve dict
-        self._ledger = {scope: 0 for scope in _SCOPES}
-        self._applied: Dict[str, Dict[str, int]] = {}
+        #: Shards that missed a cache clear while down; each is cleared
+        #: before it is routable again.
+        self._missed: Set[str] = set()
+        self._clears = 0  # clears fanned out so far
         self._lock = threading.Lock()
         self._closed = False
         self._pool = ThreadPoolExecutor(
@@ -335,10 +334,7 @@ class ClusterRouter:
             "router_redeploys_total",
             "deployments re-created from the catalog after failover")
         self._c_broadcasts = self.metrics.counter(
-            "router_broadcasts_total", "epoch invalidation broadcasts")
-        self._c_catchups = self.metrics.counter(
-            "router_catchup_bumps_total",
-            "missed epoch bumps replayed to rejoining shards")
+            "router_broadcasts_total", "cache clears fanned out to shards")
         self._g_live = self.metrics.gauge(
             "router_live_shards", "shards currently routable")
         for shard in shards:
@@ -358,7 +354,6 @@ class ClusterRouter:
         self._shards[shard.name] = shard
         # Fail-open: presume routable until a call or probe says no.
         self._live[shard.name] = True
-        self._applied[shard.name] = {scope: 0 for scope in _SCOPES}
         self.ring.add(shard.name)
 
     # ------------------------------------------------------------------
@@ -381,7 +376,7 @@ class ClusterRouter:
             self.ring.remove(name)
             del self._shards[name]
             del self._live[name]
-            del self._applied[name]
+            self._missed.discard(name)
             for deployment, home in list(self._home.items()):
                 if home == name:
                     del self._home[deployment]
@@ -482,12 +477,6 @@ class ClusterRouter:
                 self._live[name] = False
                 self._g_live.set(sum(self._live.values()))
 
-    def _mark_live(self, name: str) -> None:
-        with self._lock:
-            if name in self._live and not self._live[name]:
-                self._live[name] = True
-                self._g_live.set(sum(self._live.values()))
-
     def _call_shard(self, name: str,
                     request: Request) -> Optional[Response]:
         """One attempt against one shard; ``None`` means it is gone."""
@@ -523,15 +512,13 @@ class ClusterRouter:
         # the down-marked ones, in case the prober is simply behind a
         # recovery (a genuinely dead shard fails fast and is skipped).
         for name in live + down:
-            if name in down and not self._catch_up(name):
-                # Unreachable, or reachable but behind on epoch bumps
-                # it could not apply -- either way not safe to route to.
+            if name in down and not self._rejoin(name):
+                # Unreachable, or it missed a cache clear it could not
+                # take now -- either way not safe to route to.
                 continue
             response = self._call_shard(name, request)
             if response is None:
                 continue
-            if name in down:
-                self._mark_live(name)
             response = self._after_route(name, request, response)
             if candidates and name != candidates[0]:
                 self._c_failovers.inc()
@@ -584,72 +571,56 @@ class ClusterRouter:
         return True
 
     # ------------------------------------------------------------------
-    # Epoch broadcast + rejoin catch-up
+    # Cache clears: fan-out, and clearing a shard that missed one
     # ------------------------------------------------------------------
 
     def _broadcast_invalidate(self, request: InvalidateRequest) -> Response:
-        """Bump the ledger, then fan the bump to every live shard.
-
-        Down shards are skipped *after* the ledger moved: the prober's
-        rejoin path replays exactly the bumps they missed (a relative
-        ``count``, never an absolute epoch -- a shard that advanced its
-        own epochs from its journal must not regress)."""
+        """Clear every live shard's cache.  A shard that is down or
+        fails its clear is flagged as having missed one, and
+        :meth:`_rejoin` clears it before it is routed to again."""
         self._c_broadcasts.inc()
         with self._lock:
-            for scope in _SCOPES:
-                if request.scope in (scope, "all"):
-                    self._ledger[scope] += request.count
-            targets = [n for n, ok in self._live.items() if ok]
-            down = sorted(n for n, ok in self._live.items() if not ok)
-        per_shard: Dict[str, Any] = {}
-        failed: List[str] = []
-        for name in sorted(targets):
+            self._clears += 1
+            targets = sorted(n for n, ok in self._live.items() if ok)
+            skipped = sorted(n for n, ok in self._live.items() if not ok)
+            self._missed.update(skipped)
+        dropped: Dict[str, Any] = {}
+        for name in targets:
             response = self._call_shard(name, InvalidateRequest(
-                scope=request.scope, count=request.count,
                 request_id=f"bcast-{uuid.uuid4().hex}"))
-            if response is None or not response.ok:
-                failed.append(name)
+            if response is not None and response.ok:
+                dropped[name] = (response.result or {}).get("dropped")
                 continue
+            self._mark_down(name)
+            skipped.append(name)
             with self._lock:
-                applied = self._applied.get(name)
-                if applied is not None:
-                    for scope in _SCOPES:
-                        if request.scope in (scope, "all"):
-                            applied[scope] += request.count
-            per_shard[name] = (response.result or {}).get("epochs")
-        status = ResponseStatus.OK
+                self._missed.add(name)
         return Response(
-            status=status, kind=request.kind,
+            status=ResponseStatus.OK, kind=request.kind,
             request_id=request.request_id,
-            result={
-                "scope": request.scope, "count": request.count,
-                "shards": per_shard,
-                "skipped_down": down + sorted(failed),
-            })
+            result={"shards": dropped, "skipped_down": skipped})
 
-    def _catch_up(self, name: str) -> bool:
-        """Replay missed epoch bumps to a rejoining shard.  Must run
-        *before* the shard is marked live again, so no request can see
-        a stale cache entry in between."""
+    def _rejoin(self, name: str) -> bool:
+        """Mark a down shard live again, clearing its cache first if it
+        missed a clear.  False (still down) when that clear fails, or
+        when another clear was fanned out meanwhile -- the next probe
+        or route tries again."""
         with self._lock:
-            applied = self._applied.get(name)
-            if applied is None:
-                return False
-            missed = {scope: self._ledger[scope] - applied[scope]
-                      for scope in _SCOPES}
-        for scope, count in missed.items():
-            if count <= 0:
-                continue
+            missed = name in self._missed
+            clears = self._clears
+        if missed:
             response = self._call_shard(name, InvalidateRequest(
-                scope=scope, count=count,
-                request_id=f"catchup-{uuid.uuid4().hex}"))
+                request_id=f"rejoin-{uuid.uuid4().hex}"))
             if response is None or not response.ok:
                 return False
-            self._c_catchups.inc(count)
-            with self._lock:
-                applied = self._applied.get(name)
-                if applied is not None:
-                    applied[scope] += count
+        with self._lock:
+            if missed and self._clears == clears:
+                self._missed.discard(name)
+            if name in self._missed or name not in self._live:
+                return False
+            if not self._live[name]:
+                self._live[name] = True
+                self._g_live.set(sum(self._live.values()))
         return True
 
     def _probe_loop(self, interval: float) -> None:
@@ -666,8 +637,7 @@ class ClusterRouter:
                 if was_live is None:  # removed while probing
                     continue
                 if alive and not was_live:
-                    if self._catch_up(name):
-                        self._mark_live(name)
+                    self._rejoin(name)
                 elif not alive and was_live:
                     self._mark_down(name)
 
@@ -812,8 +782,7 @@ class LocalCluster:
             raise ValueError("shards must be >= 1")
         self._config_factory = config_factory or (
             lambda name: ServiceConfig(
-                executor="inline", dispatchers=2, max_workers=2,
-                supervise=False))
+                executor="inline", dispatchers=2, max_workers=2))
         self.shards: Dict[str, LocalShard] = {}
         for index in range(shards):
             name = f"shard-{index}"
@@ -844,8 +813,8 @@ class LocalCluster:
     def revive(self, name: str,
                config: Optional[ServiceConfig] = None) -> None:
         """Bring a killed shard back with a fresh service (same name,
-        same ring position).  The router's prober notices, replays any
-        missed epoch bumps, and only then routes to it again."""
+        same ring position).  The router's prober notices, clears it if
+        it missed a cache clear, and only then routes to it again."""
         shard = self.shards[name]
         shard.service = PlacementService(
             config or self._config_factory(name))

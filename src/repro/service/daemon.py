@@ -15,17 +15,18 @@ two call styles:
   --port``), stdio by :func:`serve_stdio` (``repro serve --stdio``).
 
 Control-plane requests (``ping``, ``health``, ``ready``, ``metrics``,
-``invalidate``) are answered inline without queueing -- liveness probes
-must work *because* the daemon is overloaded, not when it happens to be
-idle.
+``invalidate``, ``session``) are answered inline without queueing --
+liveness probes must work *because* the daemon is overloaded, not when
+it happens to be idle.
 
 Durability (PR 7): ``journal_dir`` attaches a write-ahead
-:class:`~repro.service.journal.Journal`.  At boot the service replays
+:class:`~repro.service.journal.Journal` of deployments and their acked
+requests -- everything a restart restores.  At boot the service replays
 the journal -- newest snapshot plus record tail -- and rebuilds every
-acked deployment, dedup entry and cache epoch, then forks each
-deployment's session worker, before accepting the first request.  A
-:class:`~repro.service.supervisor.Supervisor` then keeps those workers
-alive.
+acked deployment and dedup entry, then forks each deployment's session
+worker, before accepting the first request.  The result cache starts
+empty, and a worker that dies later is forked again by the next delta
+that needs it.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .protocol import (
     decode_request_or_error,
     encode_response,
 )
-from .supervisor import Supervisor, SupervisorConfig
 from .workers import commit_delta, WorkerPool
 
 __all__ = ["PlacementService", "ServiceConfig"]
@@ -71,13 +71,10 @@ class ServiceConfig:
         executor: str = "process",
         cache_entries: int = 256,
         cache_bytes: Optional[int] = None,
-        cache_ttl: Optional[float] = None,
         default_deadline: Optional[float] = None,
         journal_dir: Optional[str] = None,
         durability: str = "fsync",
         snapshot_every: int = 256,
-        supervise: bool = True,
-        supervisor: Optional[SupervisorConfig] = None,
     ) -> None:
         self.max_queue = max_queue
         self.dispatchers = dispatchers
@@ -85,9 +82,10 @@ class ServiceConfig:
         self.executor = executor
         self.cache_entries = cache_entries
         self.cache_bytes = cache_bytes
-        self.cache_ttl = cache_ttl
         #: Applied to every solve, delta and verify sent without one;
         #: held to the wire's rule for a ``deadline`` (a ValueError).
+        #: Set, it also stops solves coalescing: only a solve without a
+        #: deadline leads a flight others join.
         self.default_deadline = checked_deadline(default_deadline)
         #: Directory for the write-ahead journal; ``None`` disables
         #: durability (the pre-PR-7 volatile behavior).
@@ -96,8 +94,6 @@ class ServiceConfig:
         #: (process death), ``none`` (benchmark baseline).
         self.durability = durability
         self.snapshot_every = snapshot_every
-        self.supervise = supervise
-        self.supervisor = supervisor
 
 
 class PlacementService:
@@ -109,7 +105,6 @@ class PlacementService:
         self.cache = ResultCache(
             max_entries=self.config.cache_entries,
             max_bytes=self.config.cache_bytes,
-            ttl=self.config.cache_ttl,
         )
         self.pool = WorkerPool(
             executor=self.config.executor,
@@ -140,11 +135,6 @@ class PlacementService:
         if recovered is not None and not recovered.empty:
             self.last_recovery = self._recover(recovered)
             self._c_recoveries.inc()
-        self.supervisor: Optional[Supervisor] = None
-        if self.config.supervise:
-            self.supervisor = Supervisor(self.broker,
-                                         self.config.supervisor)
-            self.supervisor.start()
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -162,12 +152,13 @@ class PlacementService:
         """
         report: Dict[str, Any] = {
             "snapshot_seq": 0, "records": len(state.records),
-            "deployments": 0, "deltas": 0, "removes": 0, "epochs": 0,
+            "deployments": 0, "deltas": 0, "removes": 0,
             "sessions": 0, "duplicates": state.duplicate_records,
             "truncated_tail_bytes": state.truncated_tail_bytes,
         }
-        # Older snapshots also carry ``session_desired`` and
-        # ``session_backend`` keys; recovery ignores them.
+        # Older snapshots also carry ``epochs`` and, per deployment,
+        # ``quarantined``, ``session_desired`` and ``session_backend``
+        # keys; recovery ignores them.
         if state.snapshot is not None:
             report["snapshot_seq"] = state.snapshot.get("seq", 0)
             for spec in state.snapshot.get("deployments", []):
@@ -175,11 +166,8 @@ class PlacementService:
                 placement = repro_io.placement_from_dict(
                     spec["placement"], instance)
                 self.broker.restore_deployment(
-                    spec["name"], IncrementalDeployer(placement),
-                    quarantined=bool(spec.get("quarantined")),
-                )
+                    spec["name"], IncrementalDeployer(placement))
                 report["deployments"] += 1
-            self.cache.restore_epochs(state.snapshot.get("epochs", {}))
             self.broker.restore_applied(state.snapshot.get("applied", []))
         for record in state.records:
             self._replay_record(record, report)
@@ -217,19 +205,9 @@ class PlacementService:
             self._remember_replay(data.get("request_id"), "remove",
                                   deployer)
             report["removes"] += 1
-        elif record.kind == "epoch":
-            # Replaying the bump (not an absolute restore) reproduces
-            # the exact pre-crash epoch: each record applies once, in
-            # order, on top of the snapshot's absolute values.
-            self.cache.bump_epoch(data.get("scope", "all"),
-                                  count=int(data.get("count", 1)))
-            report["epochs"] += 1
-        elif record.kind == "session" and data["op"] == "attach":
-            # An attach cleared the quarantine.  Older journals also
-            # hold ``detach`` records and a session ``backend`` key;
-            # recovery ignores both.
-            self.broker.clear_quarantine(data["deployment"])
-        # Unknown kinds are forward-compatibility: skipped, not fatal.
+        # Older journals also hold ``epoch`` records (cache epochs) and
+        # ``session`` records (attach, detach); they restore nothing
+        # and, like unknown kinds, are skipped.
 
     def _remember_replay(self, request_id: Optional[str], op: str,
                          deployer: IncrementalDeployer) -> None:
@@ -300,30 +278,13 @@ class PlacementService:
             ))
             return ticket
         if isinstance(request, InvalidateRequest):
-            # Epoch bumps are durable state: a recovered daemon must
-            # not serve cache entries the pre-crash daemon had already
-            # invalidated.  Journal write-ahead, like every commit.
+            # The cache is volatile, so a clear is not journaled: a
+            # restarted daemon starts with an empty cache anyway.
             ticket = Ticket()
-            box: Dict[str, Any] = {}
-
-            def bump() -> None:
-                box["epochs"] = self.cache.bump_epoch(
-                    request.scope, count=request.count)
-
-            if self.journal is not None:
-                self.journal.commit(
-                    "epoch", {"scope": request.scope,
-                              "count": request.count}, apply=bump)
-                self.journal.maybe_snapshot(self.broker.snapshot_state)
-            else:
-                bump()
-            swept = self.cache.purge_stale()
             ticket.resolve(Response(
                 status=ResponseStatus.OK, kind=request.kind,
                 request_id=request.request_id,
-                result={"scope": request.scope, "count": request.count,
-                        "epochs": box["epochs"],
-                        "swept_entries": swept},
+                result={"dropped": self.cache.clear()},
             ))
             return ticket
         if (getattr(request, "deadline", None) is None
@@ -357,8 +318,6 @@ class PlacementService:
         if self._closed:
             return
         self._closed = True
-        if self.supervisor is not None:
-            self.supervisor.stop()
         if drain:
             self.broker.drain(timeout=drain_timeout)
         self.broker.close()
@@ -379,8 +338,11 @@ class PlacementService:
         """Journal lag, worker liveness, queue depth -- the payload of
         the ``health`` verb.
 
-        ``deep=True`` additionally round-trips every attached session
-        worker (a real child-process liveness proof) and reports each
+        A deployment whose worker died is listed under
+        ``dead_sessions`` but leaves the daemon healthy: the next delta
+        forks it a fresh worker.  ``deep=True`` additionally round-trips
+        every live session worker (a real child-process liveness proof;
+        one that does not answer is unhealthy) and reports each
         deployment's state digest, which is what the recovery oracle
         compares across restarts.
         """
@@ -399,9 +361,8 @@ class PlacementService:
             "recovery": self.last_recovery or None,
         }
         dead = [name for name, info in sessions.items()
-                if not info["quarantined"] and not info["alive"]]
+                if not info["alive"]]
         if dead:
-            report["healthy"] = False
             report["dead_sessions"] = dead
         if deep:
             digests: Dict[str, str] = {}

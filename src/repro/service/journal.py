@@ -1,7 +1,7 @@
 """Write-ahead deployment journal: crash-safe durability for the daemon.
 
 Everything the daemon promises to remember -- named deployments, the
-deltas applied to them, cache epochs, session attachments -- lives
+deltas applied to them, and which acked requests they hold -- lives
 in process memory.  One ``kill -9`` would silently lose every acked
 commit, which is incompatible with a serving system: a client that saw
 ``status=ok`` must find that state again after a restart.  The journal

@@ -18,8 +18,8 @@ Requests
   :class:`~repro.core.incremental.IncrementalDeployer`.
 * :class:`VerifyRequest`  -- exact verification of a placement.
 * :class:`PingRequest`, :class:`MetricsRequest`,
-  :class:`InvalidateRequest` -- liveness, observability, and explicit
-  cache-epoch control.
+  :class:`InvalidateRequest` -- liveness, observability, and clearing
+  the result cache.
 
 Content addressing
 ------------------
@@ -28,7 +28,8 @@ Content addressing
 :meth:`PlacementInstance.digest() <repro.core.instance.PlacementInstance.digest>`
 -- the canonical content digest shared with the depgraph memo and chaos
 fingerprints -- with every solver knob that changes the answer
-(objective, merging, backend).  Equal key, equal result: the broker
+(objective, merging, and the backend a name resolves to, so aliases of
+one backend share a key).  Equal key, equal proven result: the broker
 coalesces identical in-flight requests and the result cache serves
 repeats without solving.
 """
@@ -44,7 +45,7 @@ from .. import io as repro_io
 from ..core.instance import PlacementInstance
 from ..core.objectives import NAMED_OBJECTIVES
 from ..digest import canonical_digest
-from ..solve.portfolio import SOLVE_BACKENDS
+from ..solve.portfolio import SOLVE_BACKENDS, canonical_backend
 
 __all__ = [
     "DeltaRequest",
@@ -141,7 +142,7 @@ class SolveRequest:
             self.instance.digest(),
             f"objective={self.objective}",
             f"merging={int(self.merging)}",
-            f"backend={self.backend}",
+            f"backend={canonical_backend(self.backend)}",
         ))
 
     def to_dict(self) -> Dict[str, Any]:
@@ -272,9 +273,9 @@ class SessionRequest:
     its :class:`~repro.solve.session.SolverSession` (the pinned
     dependency-graph memo), which previews every delta.  No client
     needs a session request to be served.  ``status`` reports the
-    worker's telemetry without touching it.  ``attach`` clears the
-    deployment's quarantine (journaled) and ensures it a live worker.
-    Answered inline by the broker, never queued.
+    worker's telemetry without touching it.  ``attach`` ensures the
+    deployment a live worker and journals nothing.  Answered inline by
+    the broker, never queued.
     """
 
     deployment: str
@@ -392,39 +393,22 @@ class MetricsRequest:
 
 @dataclass
 class InvalidateRequest:
-    """Bump a cache epoch: ``scope`` is ``topology``, ``policy`` or
-    ``all``.  Entries cached under older epochs stop being served.
+    """Drop every cached result; answered inline with ``{"dropped":
+    n}`` and not journaled (the cache is volatile).  A cluster router
+    sends it to every shard.  Older clients' ``scope`` and ``count``
+    keys are ignored."""
 
-    ``count`` bumps the epoch that many times in one request -- the
-    cluster router uses it to catch a rejoining shard up on every
-    broadcast it missed while down, atomically and without regressing
-    any epoch the shard advanced on its own.
-    """
-
-    scope: str = "all"
-    count: int = 1
     request_id: Optional[str] = None
 
     kind = "invalidate"
     priority = 0
 
-    def __post_init__(self) -> None:
-        if self.scope not in ("topology", "policy", "all"):
-            raise ProtocolError(f"unknown invalidation scope {self.scope!r}")
-        if not isinstance(self.count, int) or self.count < 1:
-            raise ProtocolError(
-                f"invalidation count must be a positive int, "
-                f"got {self.count!r}")
-
     def to_dict(self) -> Dict[str, Any]:
-        return _with_common(self, {"scope": self.scope,
-                                   "count": self.count})
+        return _with_common(self, {})
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "InvalidateRequest":
-        return cls(scope=data.get("scope", "all"),
-                   count=data.get("count", 1),
-                   request_id=data.get("request_id"))
+        return cls(request_id=data.get("request_id"))
 
 
 Request = Union[

@@ -295,8 +295,8 @@ class SessionWorker:
 
     @property
     def pid(self) -> Optional[int]:
-        """The child's OS pid (``None`` inline) -- the supervisor's
-        health report and the chaos harness's kill target."""
+        """The child's OS pid (``None`` inline) -- the health report's
+        and the chaos harness's kill target."""
         return None if self._child is None else self._child.pid
 
     def preview(self, request: DeltaRequest,

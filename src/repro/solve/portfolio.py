@@ -56,6 +56,7 @@ __all__ = [
     "PortfolioOutcome",
     "PortfolioSolver",
     "SOLVE_BACKENDS",
+    "canonical_backend",
     "resolve_backend",
 ]
 
@@ -258,6 +259,14 @@ def resolve_backend(name: str):
     if backend is None:
         raise ValueError(f"unknown backend {name!r}")
     return backend()
+
+
+def canonical_backend(name: str) -> str:
+    """The first name in :data:`SOLVE_BACKENDS` that solves as ``name``
+    does: ``scipy`` and ``scipy-highs`` are ``highs``."""
+    backend = _MILP_BACKENDS.get(name)
+    return next((alias for alias, cls in _MILP_BACKENDS.items()
+                 if cls is backend), name)
 
 
 def _run_engine(spec: EngineSpec, task: EngineTask):

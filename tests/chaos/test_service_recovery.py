@@ -9,9 +9,9 @@ Environment knobs (mirroring the dataplane chaos suite):
 
 Default is the full 100-seed matrix the acceptance criteria call for;
 every seeded crash storm must recover with zero invariant violations:
-acked implies recovered (digest-identical), epochs never regress,
-retries replay, and the storm run lands exactly where a crash-free run
-of the same op stream lands.
+acked implies recovered (digest-identical), retries replay, every
+deployment has a live worker, and the storm run lands exactly where a
+crash-free run of the same op stream lands.
 
 The end-to-end class does it for real: a daemon subprocess under
 client load, ``SIGKILL`` mid-stream, a replacement booted from the

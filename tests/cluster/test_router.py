@@ -208,8 +208,7 @@ class TestMembership:
             from repro.service.cluster import LocalShard
 
             extra = PlacementService(ServiceConfig(
-                executor="inline", dispatchers=1, max_workers=1,
-                supervise=False))
+                executor="inline", dispatchers=1, max_workers=1))
             try:
                 cl.router.add_shard(LocalShard("shard-extra", extra))
                 assert "shard-extra" in cl.router.shards()
@@ -234,8 +233,8 @@ class TestMembership:
 class TestRemoteShards:
     def test_router_over_tcp_daemons(self, instances):
         services = [PlacementService(ServiceConfig(
-            executor="inline", dispatchers=1, max_workers=1,
-            supervise=False)) for _ in range(2)]
+            executor="inline", dispatchers=1, max_workers=1))
+            for _ in range(2)]
         servers = [AsyncFrontend(svc) for svc in services]
         for server in servers:
             server.start()

@@ -1,21 +1,10 @@
-"""Result cache: LRU bounds, TTL, epoch invalidation, counters."""
+"""Result cache: LRU bounds, clearing, counters."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.service.cache import ResultCache
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
 
 
 class TestBasics:
@@ -39,8 +28,6 @@ class TestBasics:
             ResultCache(max_entries=0)
         with pytest.raises(ValueError):
             ResultCache(max_bytes=0)
-        with pytest.raises(ValueError):
-            ResultCache(ttl=0)
 
 
 class TestLRU:
@@ -82,62 +69,6 @@ class TestLRU:
         assert stats.hits == 0 and stats.misses == 1
 
 
-class TestTTL:
-    def test_expired_entry_is_a_miss(self):
-        clock = FakeClock()
-        cache = ResultCache(ttl=10.0, clock=clock)
-        cache.put("k", {"v": 1})
-        clock.advance(9.9)
-        assert cache.get("k") == {"v": 1}
-        clock.advance(0.2)
-        assert cache.get("k") is None
-        stats = cache.stats()
-        assert stats.expirations == 1
-        assert stats.entries == 0
-
-    def test_purge_stale_sweeps_expired(self):
-        clock = FakeClock()
-        cache = ResultCache(ttl=5.0, clock=clock)
-        cache.put("a", {})
-        clock.advance(6.0)
-        cache.put("b", {})
-        assert cache.purge_stale() == 1
-        assert "b" in cache
-
-
-class TestEpochs:
-    def test_bump_epoch_invalidates_older_entries(self):
-        cache = ResultCache()
-        cache.put("k", {"v": 1})
-        cache.bump_epoch("topology")
-        assert cache.get("k") is None
-        assert cache.stats().invalidations == 1
-        # Entries stored after the bump are served normally.
-        cache.put("k", {"v": 2})
-        assert cache.get("k") == {"v": 2}
-
-    def test_scopes_are_independent(self):
-        cache = ResultCache()
-        assert cache.epochs() == {"topology": 0, "policy": 0}
-        cache.bump_epoch("policy")
-        assert cache.epochs() == {"topology": 0, "policy": 1}
-        cache.bump_epoch("all")
-        assert cache.epochs() == {"topology": 1, "policy": 2}
-
-    def test_unknown_scope_rejected(self):
-        with pytest.raises(ValueError):
-            ResultCache().bump_epoch("vibes")
-
-    def test_purge_stale_sweeps_old_epochs(self):
-        cache = ResultCache()
-        cache.put("a", {})
-        cache.put("b", {})
-        cache.bump_epoch()
-        cache.put("c", {})
-        assert cache.purge_stale() == 2
-        assert len(cache) == 1
-
-
 class TestStats:
     def test_hit_rate(self):
         cache = ResultCache()
@@ -154,9 +85,9 @@ class TestStats:
         cache = ResultCache()
         cache.put("a", {})
         cache.put("b", {})
-        assert cache.invalidate("a")
-        assert not cache.invalidate("a")
-        cache.clear()
+        assert cache.clear() == 2
         assert len(cache) == 0
+        assert cache.get("a") is None
+        assert cache.clear() == 0
         assert cache.stats().invalidations == 2
         assert cache.stats().bytes == 0

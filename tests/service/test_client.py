@@ -87,7 +87,7 @@ def served(instance, tmp_path):
     """A journaled daemon on TCP with ``prod`` deployed."""
     service = PlacementService(ServiceConfig(
         executor="inline", journal_dir=str(tmp_path / "wal"),
-        durability="flush", supervise=False))
+        durability="flush"))
     solved = service.handle(SolveRequest(instance, deploy_as="prod"),
                             timeout=120.0)
     assert solved.ok
@@ -163,7 +163,7 @@ class TestReconnectAndReplay:
 
         revived = PlacementService(ServiceConfig(
             executor="inline", journal_dir=journal_dir,
-            durability="flush", supervise=False))
+            durability="flush"))
         assert revived.last_recovery["deployments"] == 1
         replacement = AsyncFrontend(revived, port=port)
         replacement.start()
@@ -240,7 +240,7 @@ class TestDrain:
 
         revived = PlacementService(ServiceConfig(
             executor="inline", journal_dir=journal_dir,
-            durability="flush", supervise=False))
+            durability="flush"))
         try:
             for request_id, _digest in acked:
                 summary = revived.broker.applied_summary(request_id)

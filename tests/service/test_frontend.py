@@ -38,7 +38,6 @@ def instance():
 def service():
     svc = PlacementService(ServiceConfig(
         executor="inline", dispatchers=2, max_workers=2,
-        supervise=False,
     ))
     yield svc
     svc.close()

@@ -54,7 +54,7 @@ class _Recorder:
 @pytest.fixture
 def recorder():
     service = PlacementService(ServiceConfig(
-        executor="inline", dispatchers=2, max_workers=2, supervise=False))
+        executor="inline", dispatchers=2, max_workers=2))
     yield _Recorder(service)
     service.close()
 
@@ -62,7 +62,7 @@ def recorder():
 @pytest.fixture
 def remote_recorder():
     service = PlacementService(ServiceConfig(
-        executor="inline", dispatchers=2, max_workers=2, supervise=False))
+        executor="inline", dispatchers=2, max_workers=2))
     recording = _Recorder(service)
     frontend = AsyncFrontend(recording)
     frontend.start()

@@ -67,11 +67,12 @@ class TestControlPlane:
             response.result["prometheus"]
 
     def test_invalidate_bumps_epochs_and_sweeps(self, service, instance):
+        """``invalidate`` drops every cached result."""
         service.handle(SolveRequest(instance), timeout=60.0)
         assert len(service.cache) == 1
-        response = service.handle(InvalidateRequest(scope="all"), timeout=5.0)
+        response = service.handle(InvalidateRequest(), timeout=5.0)
         assert response.ok
-        assert response.result["swept_entries"] == 1
+        assert response.result == {"dropped": 1}
         assert len(service.cache) == 0
         # The next identical solve is a fresh miss, not a stale hit.
         again = service.handle(SolveRequest(instance), timeout=60.0)
