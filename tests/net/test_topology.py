@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.net.routing import Path
 from repro.net.topology import Switch, Topology
 
 
@@ -95,3 +96,27 @@ class TestCapacities:
         topo.add_link("a", "c")
         assert topo.degree("a") == 2
         assert set(topo.neighbors("a")) == {"b", "c"}
+
+
+class TestCheckPaths:
+    """One rule for "a path crosses only switches of the topology",
+    shared by instance validation and delta previews."""
+
+    @staticmethod
+    def _topology() -> Topology:
+        topo = Topology()
+        for name in ("a", "b", "c"):
+            topo.add_switch(name, 10)
+        return topo
+
+    def test_known_switches_pass(self):
+        self._topology().check_paths([Path("h0", "h1", ("a", "b")),
+                                      Path("h1", "h0", ("c",))])
+
+    def test_first_unknown_switch_is_named_with_its_ingress(self):
+        paths = [Path("h0", "h1", ("a", "b")),
+                 Path("h1", "h0", ("c", "nowhere", "elsewhere"))]
+        with pytest.raises(ValueError) as raised:
+            self._topology().check_paths(paths)
+        assert str(raised.value) == \
+            "path for 'h1' uses unknown switch 'nowhere'"

@@ -20,6 +20,8 @@ from repro.solve.portfolio import (
     EngineSpec,
     EngineTask,
     PortfolioSolver,
+    SOLVE_BACKENDS,
+    canonical_backend,
     resolve_backend,
 )
 
@@ -151,6 +153,15 @@ class TestWinnerSelection:
         assert resolve_backend("bnb").name == "bnb"
         with pytest.raises(ValueError):
             resolve_backend("gurobi")
+
+    def test_canonical_backend_names(self):
+        """Names that resolve to one backend class share its first
+        name; any other name is its own."""
+        canonical = {name: canonical_backend(name) for name in SOLVE_BACKENDS}
+        assert canonical == {"highs": "highs", "scipy": "highs",
+                             "scipy-highs": "highs", "bnb": "bnb",
+                             "portfolio": "portfolio"}
+        assert canonical_backend("gurobi") == "gurobi"
 
 
 # ---------------------------------------------------------------------------

@@ -111,3 +111,60 @@ class TestPlacementRoundTrip:
         assert data["status"] == "optimal"
         entry = data["placed"][0]
         assert {"ingress", "priority", "switches"} <= set(entry)
+
+
+#: One key a worker-run decoder requires, deleted: the decoder's input
+#: (a delta's policy or paths, a verify's placement), the keys leading
+#: to the dict that holds the key, and the key.
+_REQUIRED = {
+    "rule-priority": ("policy", ("rules", 0), "priority"),
+    "rule-match": ("policy", ("rules", 0), "match"),
+    "rule-action": ("policy", ("rules", 0), "action"),
+    "policy-ingress": ("policy", (), "ingress"),
+    "policy-rules": ("policy", (), "rules"),
+    "path-ingress": ("paths", (0,), "ingress"),
+    "path-egress": ("paths", (0,), "egress"),
+    "path-switches": ("paths", (0,), "switches"),
+    "placement-status": ("placement", (), "status"),
+    "placement-placed": ("placement", (), "placed"),
+    "placed-ingress": ("placement", ("placed", 0), "ingress"),
+    "placed-priority": ("placement", ("placed", 0), "priority"),
+    "placed-switches": ("placement", ("placed", 0), "switches"),
+    "merged-gid": ("placement", ("merged", 0), "gid"),
+    "merged-switches": ("placement", ("merged", 0), "switches"),
+}
+
+
+class TestMissingKeys:
+    """The decoders a session or verify worker runs name a missing key
+    in a ValueError, which the service answers ``bad_request``; the
+    bare KeyError it replaced answered ``error``."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, instance):
+        placement = RulePlacer(PlacerConfig(enable_merging=True)).place(
+            instance)
+        assert placement.merged, "fixture should produce active merges"
+        return {
+            "policy": repro_io.policy_to_dict(next(iter(instance.policies))),
+            "paths": repro_io.routing_to_dict(instance.routing),
+            "placement": repro_io.placement_to_dict(placement),
+        }
+
+    @pytest.mark.parametrize("case", sorted(_REQUIRED))
+    def test_names_the_missing_key(self, instance, inputs, case):
+        which, parents, key = _REQUIRED[case]
+        decode = {
+            "policy": repro_io.policy_from_dict,
+            "paths": repro_io.paths_from_dict,
+            "placement": lambda data: repro_io.placement_from_dict(
+                data, instance),
+        }[which]
+        data = json.loads(json.dumps(inputs[which]))
+        decode(json.loads(json.dumps(data)))  # intact, it decodes
+        target = data
+        for step in parents:
+            target = target[step]
+        del target[key]
+        with pytest.raises(ValueError, match=f"has no '{key}'"):
+            decode(data)
