@@ -16,6 +16,11 @@ fractions of a second.  The paper's recipe, reproduced here:
 :class:`IncrementalDeployer` owns the evolving network state: the base
 placement's capacity consumption plus every incremental change applied
 since.  ``as_placement()`` exports the combined state for verification.
+
+The greedy itself is :func:`greedy_place`.  Run over a whole instance
+against its full capacities, :func:`certified_greedy` answers a
+total-rules solve without an ILP whenever the greedy meets the counting
+lower bound every feasible placement obeys.
 """
 
 from __future__ import annotations
@@ -30,11 +35,13 @@ from ..milp.model import SolveStatus
 from ..net.routing import Path, Routing
 from ..net.topology import Topology
 from ..policy.policy import Policy, PolicySet
-from .depgraph import build_dependency_graph
+from .depgraph import DependencyGraph, build_dependency_graph
 from .instance import PlacementInstance, RuleKey
 from .placement import Placement, PlacerConfig, RulePlacer
+from .slicing import relevant_drops
 
-__all__ = ["IncrementalResult", "IncrementalDeployer"]
+__all__ = ["IncrementalResult", "IncrementalDeployer", "certified_greedy",
+           "greedy_place"]
 
 
 @dataclass
@@ -387,49 +394,11 @@ class IncrementalDeployer:
 
     def _greedy_place(self, policy: Policy, paths: Sequence[Path],
                       graph=None) -> Optional[Dict[RuleKey, FrozenSet[str]]]:
-        """Place as close to the ingress as spare capacity allows.
-
-        Per path, each relevant DROP's co-location closure (the drop
-        plus its dependency PERMITs) goes onto the first switch along
-        the path that can absorb the closure's *new* rules.  Returns
-        ``None`` when any closure fits nowhere (ILP fallback).
-        """
+        """:func:`greedy_place` against this deployment's spare
+        capacities; ``None`` sends the delta to the sub-ILP."""
         if graph is None:
             graph = build_dependency_graph(policy)
-        ingress = policy.ingress
-        spare = self.spare_capacities()
-        placed: Dict[RuleKey, set] = {}
-        # ``placed`` inverted: per switch, the keys this call put there.
-        at: Dict[str, set] = {}
-        drops = [rule for rule in policy.sorted_rules() if rule.is_drop]
-
-        for path in paths:
-            for rule in drops:
-                if path.flow is not None and not rule.match.intersects(path.flow):
-                    continue
-                drop_key = (ingress, rule.priority)
-                if any(
-                    switch in path.switches
-                    for switch in placed.get(drop_key, ())
-                ):
-                    continue  # already covered on this path
-                closure = [
-                    (ingress, priority) for priority in graph.closure(rule.priority)
-                ]
-                chosen = None
-                for switch in path.switches:
-                    here = at.get(switch, ())
-                    new_rules = [key for key in closure if key not in here]
-                    if len(new_rules) <= spare[switch]:
-                        chosen = switch
-                        break
-                if chosen is None:
-                    return None
-                spare[chosen] -= len(new_rules)
-                at.setdefault(chosen, set()).update(closure)
-                for key in closure:
-                    placed.setdefault(key, set()).add(chosen)
-        return {key: frozenset(switches) for key, switches in placed.items()}
+        return greedy_place(policy, paths, graph, self.spare_capacities())
 
     def _sub_ilp(self, policy: Policy, paths: Sequence[Path],
                  time_limit: Optional[float],
@@ -459,6 +428,103 @@ class IncrementalDeployer:
         if isinstance(compile_stats, dict):
             result.solver_stats["compile"] = dict(compile_stats)
         return result
+
+
+def greedy_place(policy: Policy, paths: Sequence[Path],
+                 graph: DependencyGraph, spare: Dict[str, int]
+                 ) -> Optional[Dict[RuleKey, FrozenSet[str]]]:
+    """Place ``policy`` on ``paths`` as close to the ingress as
+    ``spare`` allows (paper Section IV-E).
+
+    Per path, each relevant DROP (:func:`~repro.core.slicing.relevant_drops`)
+    not yet on the path has its co-location closure (the drop plus its
+    dependency PERMITs) placed onto the first switch along the path that
+    can absorb the closure's *new* rules.  ``spare`` maps each switch to
+    its free slots and is consumed in place, so successive calls share
+    one capacity budget.  Returns ``None`` when any closure fits nowhere.
+    """
+    ingress = policy.ingress
+    placed: Dict[RuleKey, set] = {}
+    # ``placed`` inverted: per switch, the keys this call put there.
+    at: Dict[str, set] = {}
+    drops = [rule for rule in policy.sorted_rules() if rule.is_drop]
+
+    for path in paths:
+        for rule in relevant_drops(drops, path):
+            drop_key = (ingress, rule.priority)
+            if any(
+                switch in path.switches
+                for switch in placed.get(drop_key, ())
+            ):
+                continue  # already covered on this path
+            closure = [
+                (ingress, priority) for priority in graph.closure(rule.priority)
+            ]
+            chosen = None
+            for switch in path.switches:
+                here = at.get(switch, ())
+                new_rules = [key for key in closure if key not in here]
+                if len(new_rules) <= spare[switch]:
+                    chosen = switch
+                    break
+            if chosen is None:
+                return None
+            spare[chosen] -= len(new_rules)
+            at.setdefault(chosen, set()).update(closure)
+            for key in closure:
+                placed.setdefault(key, set()).add(chosen)
+    return {key: frozenset(switches) for key, switches in placed.items()}
+
+
+def certified_greedy(instance: PlacementInstance,
+                     depgraphs: Dict[str, DependencyGraph]
+                     ) -> Optional[Placement]:
+    """The greedy over every policy of ``instance`` against its full
+    capacities, returned only when it provably minimizes total rules.
+
+    **The bound.**  Under path slicing (Section IV-C) every feasible
+    placement installs each rule key that has a placement domain at
+    least once: a path-relevant DROP must sit somewhere on its path
+    (Eq. 2), and every PERMIT such a DROP depends on must sit beside it
+    (Eq. 1).  So ``A = len(build_slices(...).domains)`` rules is a lower
+    bound on the total-rules objective.
+
+    **The greedy meets it.**  :func:`greedy_place` places only these
+    keys: every relevant DROP's closure, and nothing else.  It puts
+    each closure whole on one switch of a path the DROP is relevant to,
+    which lies in the closure's domains, and it never exceeds a
+    switch's capacity.  Its placement therefore satisfies Eq. 1-3.
+    The keys it placed number exactly ``A``; when it installed each of
+    them once, it installed ``A`` rules, which no feasible placement
+    undercuts, so the placement is optimal.  Checking that takes a
+    recount, not a solve.
+
+    The argument needs every installed rule to cost one slot and one
+    unit of objective, so it holds for the total-rules objective
+    without merging (a merged group shares one entry) and nothing else.
+    Returns an ``OPTIMAL`` placement whose ``solver_stats`` carry
+    ``method="greedy"`` and ``certificate={"bound": A, "closes": True}``,
+    or ``None`` when the greedy refuses or installs more than ``A``.
+    """
+    started = time.perf_counter()
+    spare = dict(instance.capacities)
+    placed: Dict[RuleKey, FrozenSet[str]] = {}
+    for policy in instance.policies:
+        answer = greedy_place(policy, instance.routing.paths(policy.ingress),
+                              depgraphs[policy.ingress], spare)
+        if answer is None:
+            return None
+        placed.update(answer)
+    bound = len(placed)
+    if sum(len(switches) for switches in placed.values()) != bound:
+        return None
+    return Placement(
+        instance=instance, status=SolveStatus.OPTIMAL, placed=placed,
+        objective_value=float(bound),
+        solve_seconds=time.perf_counter() - started,
+        solver_stats={"method": "greedy",
+                      "certificate": {"bound": bound, "closes": True}},
+    )
 
 
 def _placement_parts(paths: Sequence[Path],

@@ -16,12 +16,14 @@ the unsliced formulation of Section IV-A.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
+from ..net.routing import Path
+from ..policy.rule import Rule
 from .depgraph import DependencyGraph
 from .instance import PlacementInstance, RuleKey
 
-__all__ = ["SliceInfo", "build_slices"]
+__all__ = ["SliceInfo", "build_slices", "relevant_drops"]
 
 
 @dataclass
@@ -53,31 +55,42 @@ class SliceInfo:
         return sum(len(switches) for switches in self.domains.values())
 
 
+def relevant_drops(drops: Sequence[Rule], path: Path) -> Sequence[Rule]:
+    """The DROP rules of ``drops`` that must be enforced on ``path``, in
+    their given order.
+
+    A DROP rule is relevant to a path when the path has no flow
+    descriptor or the descriptor overlaps the rule's match.  This is
+    the one definition: the encodings' Eq. 2 rows (through
+    :func:`build_slices`) and the incremental greedy both ask it.
+    """
+    flow = path.flow
+    if flow is None:
+        return drops
+    return [rule for rule in drops if rule.match.intersects(flow)]
+
+
 def build_slices(
     instance: PlacementInstance,
     depgraphs: Dict[str, DependencyGraph],
 ) -> SliceInfo:
     """Compute per-path relevant drops and per-rule placement domains.
 
-    A DROP rule is relevant to a path when the path has no flow
-    descriptor or the descriptor overlaps the rule's match.  The rule's
-    domain is the union of switches over its relevant paths; a PERMIT
-    rule inherits the union of the domains of the DROP rules that
-    depend on it (Eq. 1 can only force a permit where some drop goes).
+    Relevance is :func:`relevant_drops`.  A DROP rule's domain is the
+    union of switches over its relevant paths; a PERMIT rule inherits
+    the union of the domains of the DROP rules that depend on it
+    (Eq. 1 can only force a permit where some drop goes).
     """
     info = SliceInfo()
     for policy in instance.policies:
         ingress = policy.ingress
         paths = instance.routing.paths(ingress)
         graph = depgraphs[ingress]
+        drops = [rule for rule in policy.sorted_rules() if rule.is_drop]
         drop_domains: Dict[int, Dict[str, None]] = {}
         for path_index, path in enumerate(paths):
             relevant: List[int] = []
-            for rule in policy.sorted_rules():
-                if not rule.is_drop:
-                    continue
-                if path.flow is not None and not rule.match.intersects(path.flow):
-                    continue
+            for rule in relevant_drops(drops, path):
                 relevant.append(rule.priority)
                 domain = drop_domains.setdefault(rule.priority, {})
                 for switch in path.switches:

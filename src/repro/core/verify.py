@@ -24,7 +24,7 @@ calculus, so a passing report is a proof, not a sample.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import Dict, List
 
 from ..net.routing import Path
 from ..policy.policy import Policy
@@ -52,11 +52,9 @@ class VerificationReport:
             )
 
 
-def _switch_drop_region(
-    instance: PlacementInstance, placement: Placement,
-    policy: Policy, switch: str,
-) -> RegionSet:
-    """Headers of ``policy``'s traffic dropped at ``switch``.
+def _switch_drop_region(policy: Policy, priorities: List[int]) -> RegionSet:
+    """Headers of ``policy``'s traffic dropped at one switch holding the
+    rules of ``priorities``.
 
     Table semantics for one ingress at one switch: a header is dropped
     iff some placed DROP rule matches it and no placed higher-priority
@@ -64,12 +62,9 @@ def _switch_drop_region(
     """
     width = policy.width
     region = RegionSet(width)
-    placed_here = [
-        policy.rule_by_priority(priority)
-        for (ingress, priority) in placement.placed
-        if ingress == policy.ingress and switch in placement.placed[(ingress, priority)]
-    ]
-    placed_here.sort(key=lambda r: -r.priority)
+    placed_here = sorted((policy.rule_by_priority(priority)
+                          for priority in priorities),
+                         key=lambda r: -r.priority)
     for idx, rule in enumerate(placed_here):
         if not rule.is_drop:
             continue
@@ -82,16 +77,43 @@ def _switch_drop_region(
     return region
 
 
+class _DropRegions:
+    """One policy's per-switch drop regions, each built once.
+
+    A switch on several of the policy's paths contributes the same
+    region to each of them; the placement is indexed once up front
+    instead of scanned per (path, switch).
+    """
+
+    def __init__(self, placement: Placement, policy: Policy) -> None:
+        self._policy = policy
+        #: Per switch, the priorities of the policy's rules placed there.
+        self._placed: Dict[str, List[int]] = {}
+        for (ingress, priority), switches in placement.placed.items():
+            if ingress == policy.ingress:
+                for switch in switches:
+                    self._placed.setdefault(switch, []).append(priority)
+        self._regions: Dict[str, RegionSet] = {}
+
+    def along(self, path: Path) -> RegionSet:
+        """Headers dropped anywhere along ``path``."""
+        region = RegionSet(self._policy.width)
+        for switch in path.switches:
+            here = self._regions.get(switch)
+            if here is None:
+                here = self._regions[switch] = _switch_drop_region(
+                    self._policy, self._placed.get(switch, []))
+            for cube in here.cubes:
+                region.add(cube)
+        return region
+
+
 def path_drop_region(
     instance: PlacementInstance, placement: Placement,
     policy: Policy, path: Path,
 ) -> RegionSet:
     """Headers dropped anywhere along ``path`` for ``policy``'s traffic."""
-    region = RegionSet(policy.width)
-    for switch in path.switches:
-        for cube in _switch_drop_region(instance, placement, policy, switch).cubes:
-            region.add(cube)
-    return region
+    return _DropRegions(placement, policy).along(path)
 
 
 def verify_placement(
@@ -136,8 +158,9 @@ def verify_placement(
         if not policy.rules:
             continue
         expected_full = policy.drop_region()
+        regions = _DropRegions(placement, policy)
         for path in instance.routing.paths(policy.ingress):
-            actual = path_drop_region(instance, placement, policy, path)
+            actual = regions.along(path)
             if path.flow is not None:
                 expected = expected_full.intersect_cube(path.flow)
                 actual = actual.intersect_cube(path.flow)

@@ -7,8 +7,13 @@ no entry can go stale.  The cache is a plain digest -> response-payload
 map with two bounded resources:
 
 * **entries** -- hard cap on the number of cached results (LRU);
-* **bytes**   -- hard cap on the summed (estimated) payload sizes, so
-  a few giant placements cannot squeeze out everything else.
+* **bytes**   -- hard cap on the summed lengths of the stored payloads,
+  so a few giant placements cannot squeeze out everything else.
+
+Each payload is stored as its compact JSON encoding, not as the object
+graph it was built from: a placement's text is several times smaller
+than its dicts and lists, the byte bound counts exactly what is kept,
+and every hit decodes a fresh copy no caller can alias.
 
 The cache lives in memory only: a restarted daemon starts empty.
 :meth:`clear` (the wire's ``invalidate``) drops every entry.
@@ -19,10 +24,11 @@ hits/misses/evictions/invalidations feed the service metrics registry.
 
 from __future__ import annotations
 
+import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Dict, Optional
 
 __all__ = ["CacheStats", "ResultCache"]
 
@@ -55,27 +61,17 @@ class CacheStats:
         }
 
 
-class _Entry:
-    __slots__ = ("payload", "size")
-
-    def __init__(self, payload: Dict[str, Any], size: int) -> None:
-        self.payload = payload
-        self.size = size
-
-
 class ResultCache:
     """digest -> result payload, LRU over entries and bytes.
 
-    ``sizer`` estimates a payload's footprint (defaults to the length
-    of its compact JSON encoding -- proportional to what the wire would
-    carry, cheap, and deterministic).
+    A payload is kept as its compact JSON text, whose length is what
+    the byte bound counts; :meth:`get` decodes it.
     """
 
     def __init__(
         self,
         max_entries: int = 256,
         max_bytes: Optional[int] = None,
-        sizer: Optional[Callable[[Dict[str, Any]], int]] = None,
     ) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
@@ -83,8 +79,7 @@ class ResultCache:
             raise ValueError("max_bytes must be >= 1")
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        self._sizer = sizer or _json_size
-        self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
+        self._entries: "OrderedDict[str, str]" = OrderedDict()
         self._bytes = 0
         self._lock = threading.Lock()
         self._hits = 0
@@ -97,25 +92,26 @@ class ResultCache:
     # ------------------------------------------------------------------
 
     def get(self, digest: str) -> Optional[Dict[str, Any]]:
-        """The cached payload, or ``None`` (counted as hit or miss)."""
+        """A fresh decode of the cached payload, or ``None`` (counted as
+        hit or miss)."""
         with self._lock:
-            entry = self._entries.get(digest)
-            if entry is None:
+            text = self._entries.get(digest)
+            if text is None:
                 self._misses += 1
                 return None
             self._entries.move_to_end(digest)
             self._hits += 1
-            return entry.payload
+        return json.loads(text)
 
     def put(self, digest: str, payload: Dict[str, Any]) -> None:
         """Insert/replace; evicts LRU entries past either bound."""
-        size = self._sizer(payload)
+        text = json.dumps(payload, separators=(",", ":"))
         with self._lock:
             old = self._entries.pop(digest, None)
             if old is not None:
-                self._bytes -= old.size
-            self._entries[digest] = _Entry(payload, size)
-            self._bytes += size
+                self._bytes -= len(old)
+            self._entries[digest] = text
+            self._bytes += len(text)
             while len(self._entries) > self.max_entries:
                 self._evict_lru()
             if self.max_bytes is not None:
@@ -164,12 +160,6 @@ class ResultCache:
     # ------------------------------------------------------------------
 
     def _evict_lru(self) -> None:
-        digest, entry = self._entries.popitem(last=False)
-        self._bytes -= entry.size
+        _digest, text = self._entries.popitem(last=False)
+        self._bytes -= len(text)
         self._evictions += 1
-
-
-def _json_size(payload: Dict[str, Any]) -> int:
-    import json
-
-    return len(json.dumps(payload, separators=(",", ":")))

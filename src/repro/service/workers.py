@@ -36,11 +36,13 @@ worker.
 from __future__ import annotations
 
 import threading
+import time
 import traceback
 from typing import Any, Callable, Dict, Optional
 
 from .. import io as repro_io
-from ..core.incremental import IncrementalDeployer
+from ..core.depgraph import build_dependency_graph
+from ..core.incremental import IncrementalDeployer, certified_greedy
 from ..core.instance import PlacementInstance
 from ..core.objectives import NAMED_OBJECTIVES
 from ..core.placement import PlacerConfig, RulePlacer
@@ -52,6 +54,7 @@ from ..forkpipe import (CAN_FORK, Child, WorkerCrash, WorkerError, reply,
 # request reaches, and a child forked while another thread is part-way
 # through a module's first import waits forever on that module's import
 # lock.
+from ..solve.portfolio import canonical_backend
 from ..solve.session import SolverSession
 from .protocol import DeltaRequest, SolveRequest
 
@@ -131,20 +134,39 @@ class WorkerPool:
 
 def solve_task(request: SolveRequest,
                time_limit: Optional[float] = None) -> Dict[str, Any]:
-    """Full placement through the standard pipeline.
+    """Full placement: the certified greedy first, else the pipeline.
 
-    ``backend="portfolio"`` races every exact engine;  anything else
-    goes through the named MILP backend.  Component decomposition
-    applies exactly as in one-shot solves.
+    A total-rules solve without merging on the default backend (``highs``
+    or an alias) first tries
+    :func:`~repro.core.incremental.certified_greedy`: when the greedy
+    meets the counting lower bound it is the optimum, and no model is
+    encoded or solved.  Otherwise, and for every other request,
+    ``RulePlacer`` runs as in one-shot solves, reusing the dependency
+    graphs built here: ``backend="portfolio"`` races every exact engine,
+    anything else goes through the named MILP backend, and component
+    decomposition applies.
     """
-    config = PlacerConfig(
-        objective=NAMED_OBJECTIVES[request.objective],
-        enable_merging=request.merging,
-        backend=request.backend,
-        time_limit=time_limit,
-        deadline=time_limit if request.backend == "portfolio" else None,
-    )
-    placement = RulePlacer(config).place(request.instance)
+    instance = request.instance
+    started = time.perf_counter()
+    depgraphs = {policy.ingress: build_dependency_graph(policy)
+                 for policy in instance.policies}
+    depgraph_ms = (time.perf_counter() - started) * 1000.0
+    placement = None
+    if (request.objective == "rules" and not request.merging
+            and canonical_backend(request.backend) == "highs"):
+        placement = certified_greedy(instance, depgraphs)
+    if placement is None:
+        config = PlacerConfig(
+            objective=NAMED_OBJECTIVES[request.objective],
+            enable_merging=request.merging,
+            backend=request.backend,
+            time_limit=time_limit,
+            deadline=time_limit if request.backend == "portfolio" else None,
+        )
+        placement = RulePlacer(config).place(instance, depgraphs=depgraphs)
+    # The placer timed only its reuse of the graphs; report building them.
+    placement.solver_stats.setdefault("compile", {})["depgraph_ms"] = \
+        depgraph_ms
     return {
         "placement": repro_io.placement_to_dict(placement),
         "feasible": placement.is_feasible,

@@ -23,6 +23,16 @@ class TestBasics:
         assert cache.get("k") == {"v": 2}
         assert len(cache) == 1
 
+    def test_entries_are_stored_text(self):
+        """What put was given and what get returns alias nothing kept."""
+        cache = ResultCache()
+        payload = {"v": [1]}
+        cache.put("k", payload)
+        payload["v"].append(2)
+        cache.get("k")["v"].append(3)
+        assert cache.get("k") == {"v": [1]}
+        assert cache.stats().bytes == len('{"v":[1]}')
+
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError):
             ResultCache(max_entries=0)
@@ -43,18 +53,18 @@ class TestLRU:
         assert cache.stats().evictions == 1
 
     def test_byte_bound_evicts(self):
-        cache = ResultCache(max_entries=100, sizer=lambda _p: 10,
-                            max_bytes=25)
-        cache.put("a", {})
-        cache.put("b", {})
-        cache.put("c", {})        # 30 bytes > 25: "a" goes
+        cache = ResultCache(max_entries=100, max_bytes=25)
+        payload = {"v": "xx"}     # stored as '{"v":"xx"}', 10 bytes
+        cache.put("a", payload)
+        cache.put("b", payload)
+        cache.put("c", payload)   # 30 bytes > 25: "a" goes
         assert cache.get("a") is None
         assert cache.get("b") is not None
         assert cache.stats().bytes == 20
 
     def test_oversized_payload_never_sticks(self):
-        cache = ResultCache(sizer=lambda _p: 100, max_bytes=50)
-        cache.put("big", {})
+        cache = ResultCache(max_bytes=50)
+        cache.put("big", {"v": "x" * 92})   # 100 bytes encoded
         assert cache.get("big") is None
         assert len(cache) == 0
 

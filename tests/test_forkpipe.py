@@ -180,10 +180,12 @@ class TestUnderDrainHandler:
 
     def test_two_component_solve_through_the_pool(self, drain_handler,
                                                   two_components):
+        # The upstream objective keeps the solve off the certified
+        # greedy, which would answer before any component child forks.
         pool = WorkerPool("process")
+        request = SolveRequest(two_components, objective="upstream")
         for _round in range(_ROUNDS):
-            payload = pool.run(solve_task, SolveRequest(two_components),
-                               None, timeout=_BOUND)
+            payload = pool.run(solve_task, request, None, timeout=_BOUND)
             assert payload["feasible"]
             assert payload["placement"]["solver_stats"]["components"][
                 "count"] == 2
