@@ -239,6 +239,28 @@ class TestServe:
                 pass
             daemon.wait(timeout=10.0)
 
+    def test_imports_are_frozen_before_the_service_is_built(self):
+        """By the time ``repro serve`` builds its service, what it
+        imported is frozen out of the collector: a full collection in
+        the daemon or a worker it forks walks only what came after."""
+        code = (
+            "import gc, sys\n"
+            "import repro.service\n"
+            "from repro.cli import main\n"
+            "def built(config):\n"
+            "    print(gc.get_freeze_count(), len(gc.get_objects()))\n"
+            "    sys.exit(0)\n"
+            "repro.service.PlacementService = built\n"
+            "main(['serve', '--stdio'])\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__),
+                                         "..", "src")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60.0)
+        assert done.returncode == 0, done.stderr
+        frozen, tracked = map(int, done.stdout.split())
+        assert frozen > tracked
+
 
 def _wait_for(daemon, log, pattern: str, timeout: float = 60.0) -> str:
     """The first group (or whole match) of ``pattern`` once the live
